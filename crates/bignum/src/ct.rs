@@ -8,23 +8,19 @@
 
 use crate::BigUint;
 
-/// Swaps `a` and `b` in place when `mask` is all-ones, leaves both
-/// untouched when it is zero. XOR-swap per limb: no branch, no
-/// value-dependent addressing. Slices must have equal length.
-pub(crate) fn cswap_limbs(mask: u64, a: &mut [u64], b: &mut [u64]) {
-    debug_assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter_mut().zip(b.iter_mut()) {
-        let diff = (*x ^ *y) & mask;
-        *x ^= diff;
-        *y ^= diff;
-    }
-}
-
 /// Normalizes a word to a 0/1 flag: 1 when `v != 0`, else 0, without
 /// comparing (the sign bit of `v | -v` is set exactly when `v` is
 /// nonzero).
 pub(crate) fn nonzero_u64(v: u64) -> u64 {
     (v | v.wrapping_neg()) >> 63
+}
+
+/// `a − b − borrow` as (difference, borrow out), borrows being 0 or 1.
+pub(crate) fn sub_borrow(a: u64, b: u64, borrow: u64) -> (u64, u64) {
+    let s = (a as u128)
+        .wrapping_sub(b as u128)
+        .wrapping_sub(borrow as u128);
+    (s as u64, ((s >> 64) as u64) & 1)
 }
 
 impl BigUint {
@@ -35,12 +31,9 @@ impl BigUint {
         let width = self.limbs().len().max(other.limbs().len());
         let lhs = self.limbs().iter().copied().chain(core::iter::repeat(0));
         let rhs = other.limbs().iter().copied().chain(core::iter::repeat(0));
-        lhs.zip(rhs).take(width).fold(0u64, |borrow, (a, b)| {
-            let d = (a as u128)
-                .wrapping_sub(b as u128)
-                .wrapping_sub(borrow as u128);
-            ((d >> 64) as u64) & 1
-        })
+        lhs.zip(rhs)
+            .take(width)
+            .fold(0u64, |borrow, (a, b)| sub_borrow(a, b, borrow).1)
     }
 
     /// Low 64 bits of the value (0 for an empty limb vector).
@@ -63,16 +56,6 @@ impl BigUint {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cswap_swaps_on_full_mask_only() {
-        let mut a = [1u64, 2, 3];
-        let mut b = [9u64, 8, 7];
-        cswap_limbs(0, &mut a, &mut b);
-        assert_eq!((a, b), ([1, 2, 3], [9, 8, 7]));
-        cswap_limbs(u64::MAX, &mut a, &mut b);
-        assert_eq!((a, b), ([9, 8, 7], [1, 2, 3]));
-    }
 
     #[test]
     fn nonzero_flag() {

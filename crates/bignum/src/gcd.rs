@@ -3,18 +3,38 @@
 //! (`λ = lcm(p-1, q-1)`, `μ = L(g^λ mod n²)⁻¹ mod n`).
 
 use crate::{BigInt, BigUint, BignumError};
+use std::cmp::Ordering;
 
 impl BigUint {
-    /// Greatest common divisor (Euclid).
+    /// Greatest common divisor (binary GCD). After the two working copies
+    /// every step — compare, subtract, strip trailing zeros — runs in
+    /// place and allocates nothing: Paillier checks a unit per randomizer
+    /// and per received ciphertext.
     pub fn gcd(&self, other: &BigUint) -> BigUint {
+        let (Some(tz_a), Some(tz_b)) = (self.trailing_zeros(), other.trailing_zeros()) else {
+            // gcd(x, 0) = x.
+            return if self.is_zero() {
+                other.clone()
+            } else {
+                self.clone()
+            };
+        };
         let mut a = self.clone();
         let mut b = other.clone();
-        while !b.is_zero() {
-            let r = a.rem(&b);
-            a = b;
-            b = r;
+        a.shr_assign(tz_a);
+        b.shr_assign(tz_b);
+        // Both odd from here on: their difference is even, and stripping
+        // its factors of two changes no common odd divisor.
+        loop {
+            match a.cmp(&b) {
+                Ordering::Equal => break,
+                Ordering::Less => std::mem::swap(&mut a, &mut b),
+                Ordering::Greater => {}
+            }
+            a.sub_assign_unchecked(&b);
+            a.shr_assign(a.trailing_zeros().unwrap_or(0));
         }
-        a
+        a.shl(tz_a.min(tz_b))
     }
 
     /// Least common multiple. `lcm(0, x) = 0`.

@@ -1,19 +1,24 @@
-//! Modular exponentiation: fixed-window square-and-multiply over a
-//! Montgomery context for odd moduli, with a generic division-based fallback
-//! for even moduli (unused by Paillier but kept for API completeness).
+//! Modular exponentiation over a Montgomery context for odd moduli, with a
+//! generic division-based fallback for even moduli (unused by Paillier but
+//! kept for API completeness). Both walks run in place: an accumulator and
+//! one scratch buffer trade places after every product, so a walk allocates
+//! its table and those two buffers and nothing per step.
 //!
-//! The window table stores only the *odd* powers `base^1, base^3, …,
-//! base^(2^W − 1)`: even window digits factor as `odd · 2^tz`, and the
-//! `2^tz` part is folded into the squaring schedule (square `W − tz`
-//! times, multiply by the odd part, square `tz` more times). Same
-//! multiplication count per window as a full table, half the
-//! precomputation.
+//! [`Montgomery::pow`] is for public exponents. Its window table stores only
+//! the *odd* powers `base^1, base^3, …, base^(2^W − 1)`: even window digits
+//! factor as `odd · 2^tz`, and the `2^tz` part is folded into the squaring
+//! schedule (square `W − tz` times, multiply by the odd part, square `tz`
+//! more times). Same multiplication count per window as a full table, half
+//! the precomputation. [`Montgomery::pow_ct`] is for secret exponents: a
+//! full table, no skipped window, and a table read that touches every entry.
 
 use crate::{BigUint, Montgomery};
 
-/// Window width in bits. 4 gives an 8-entry odd-power table: a good
-/// trade for 1024–2048-bit exponents (≈12% fewer multiplications than
-/// binary, 7 fewer table-build products than a full 16-entry table).
+/// Window width in bits, for both walks. A 1024-bit public exponent costs
+/// `pow` 1024 squarings and about 250 multiplications (8 to build the
+/// odd-power table, one per non-zero window) against about 512 for binary
+/// square-and-multiply: a sixth fewer products. `pow_ct` pays 14 products
+/// for its full table and then 1.25 per exponent bit, where a ladder pays 2.
 const WINDOW: usize = 4;
 
 impl BigUint {
@@ -44,7 +49,8 @@ impl BigUint {
     }
 
     /// Computes `self^exp mod modulus` in time independent of the
-    /// exponent's bit pattern (Montgomery ladder, [`Montgomery::pow_ct`]).
+    /// exponent's bit pattern (masked fixed-window walk,
+    /// [`Montgomery::pow_ct`]).
     ///
     /// The exponent's *limb count* is the only exponent-derived quantity
     /// that reaches control flow; callers with secret exponents of a
@@ -81,33 +87,23 @@ impl Montgomery {
             return BigUint::one().rem(self.modulus()); // pprl:allow(const-time): see above
         }
         let base_m = self.to_mont(base);
+        // The walk's two buffers: every product reads one and writes the
+        // other, then they trade places. Until the walk starts, `acc` runs
+        // through the odd powers for the table.
+        let mut acc = base_m.clone();
+        let mut tmp = vec![0u64; self.limb_count()];
 
-        // Precompute the odd powers base^1, base^3, …, base^(2^W − 1).
+        // Precompute the odd powers base^1, base^3, …, base^(2^W − 1);
+        // `base^k` for odd `k` lives at `odd_pows[k >> 1]`.
         let base_sq = self.mont_mul(&base_m, &base_m);
         let mut odd_pows: Vec<Vec<u64>> = Vec::with_capacity(1 << (WINDOW - 1));
-        let mut run = base_m.clone();
-        odd_pows.push(run.clone());
+        odd_pows.push(base_m);
         for _ in 1..(1 << (WINDOW - 1)) {
-            run = self.mont_mul(&run, &base_sq);
-            odd_pows.push(run.clone());
+            self.mul_assign(&mut acc, &mut tmp, &base_sq);
+            odd_pows.push(acc.clone());
         }
-        // `base^k` for odd `k` lives at `odd_pows[k >> 1]`; the lookup
-        // below cannot miss, but degrades to recomputation over aborting.
-        let odd_pow = |k: usize| -> Vec<u64> {
-            match odd_pows.get(k >> 1) {
-                Some(t) => t.clone(),
-                None => {
-                    let mut v = base_m.clone();
-                    for _ in 1..k {
-                        v = self.mont_mul(&v, &base_m);
-                    }
-                    v
-                }
-            }
-        };
 
         let bits = exp.bits();
-        let mut acc = self.one_mont();
         let mut started = false;
         // Consume the exponent in aligned W-bit windows, MSB first.
         let top_window = bits.div_ceil(WINDOW);
@@ -123,9 +119,7 @@ impl Montgomery {
             // pprl:allow(const-time): zero-window skip is the classic windowed-exponentiation shape; Paillier exponents are public
             if digit == 0 {
                 if started {
-                    for _ in 0..WINDOW {
-                        acc = self.mont_mul(&acc, &acc);
-                    }
+                    self.square_assign(&mut acc, &mut tmp, WINDOW);
                 }
                 continue;
             }
@@ -134,19 +128,21 @@ impl Montgomery {
             // pprl:allow(const-time): trailing-zero split of the public window digit
             let tz = digit.trailing_zeros() as usize;
             let odd_part = digit >> tz; // pprl:allow(const-time): odd factor of the public window digit
-            let entry = odd_pow(odd_part);
+
+            // The lookup cannot miss (odd_part < 2^W); an empty operand
+            // would trip the kernel's length assertions.
+            let entry = odd_pows
+                .get(odd_part >> 1)
+                .map(Vec::as_slice)
+                .unwrap_or_default();
             if started {
-                for _ in 0..(WINDOW - tz) {
-                    acc = self.mont_mul(&acc, &acc);
-                }
-                acc = self.mont_mul(&acc, &entry);
+                self.square_assign(&mut acc, &mut tmp, WINDOW - tz);
+                self.mul_assign(&mut acc, &mut tmp, entry);
             } else {
-                acc = entry;
+                acc.copy_from_slice(entry);
                 started = true;
             }
-            for _ in 0..tz {
-                acc = self.mont_mul(&acc, &acc);
-            }
+            self.square_assign(&mut acc, &mut tmp, tz);
         }
         if started {
             self.from_mont(&acc)
@@ -155,33 +151,77 @@ impl Montgomery {
         }
     }
 
-    /// `base^exp mod m` via the Montgomery ladder: one squaring and one
-    /// multiplication per exponent bit, with the operand roles chosen by
-    /// a branch-free conditional swap. Unlike [`Montgomery::pow`], the
-    /// multiplication schedule — and therefore the runtime — depends
-    /// only on the exponent's limb count, never on which bits are set.
-    ///
-    /// The ladder walks every bit of every limb (including leading
-    /// zeros), so exponents of equal limb count are indistinguishable.
-    /// An empty exponent leaves the accumulator at 1.
+    /// `base^exp mod m` by a fixed-window walk whose schedule — and
+    /// therefore runtime — depends only on the exponent's limb count:
+    /// every W-bit window of every limb (leading zeros included) costs W
+    /// squarings and one multiplication, and the factor is fetched by
+    /// [`select_entry`], which reads the whole table under masks. Unlike
+    /// [`Montgomery::pow`] nothing is skipped for a zero window; the walk
+    /// multiplies by `base^0` instead. An empty exponent leaves the
+    /// accumulator at 1.
     // pprl:secret(exp)
     pub fn pow_ct(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+        let n = self.limb_count();
         let base_m = self.to_mont(base);
-        // Ladder invariant: r1 = r0 · base (in the exponent), maintained
-        // by swapping the square/multiply roles instead of branching.
-        let mut r0 = self.one_mont();
-        let mut r1 = base_m;
+        let mut acc = self.one_mont();
+        let mut tmp = vec![0u64; n];
+
+        // table[k] = base^k for every k < 2^W, n limbs each, back to back.
+        let mut table = Vec::with_capacity(n << WINDOW);
+        table.extend_from_slice(&acc);
+        table.extend_from_slice(&base_m);
+        let mut run = base_m.clone();
+        for _ in 2..(1 << WINDOW) {
+            self.mul_assign(&mut run, &mut tmp, &base_m);
+            table.extend_from_slice(&run);
+        }
+
+        // The table is built; `run` now holds the entry each window selects.
+        let entry = &mut run;
         for &limb in exp.limbs().iter().rev() {
-            for shift in (0..64).rev() {
-                let bit = (limb >> shift) & 1;
-                let mask = bit.wrapping_neg();
-                crate::ct::cswap_limbs(mask, &mut r0, &mut r1);
-                r1 = self.mont_mul(&r0, &r1);
-                r0 = self.mont_mul(&r0, &r0);
-                crate::ct::cswap_limbs(mask, &mut r0, &mut r1);
+            for shift in (0..u64::BITS as usize).step_by(WINDOW).rev() {
+                let digit = (limb >> shift) & ((1 << WINDOW) - 1);
+                self.square_assign(&mut acc, &mut tmp, WINDOW);
+                select_entry(&table, digit, entry);
+                self.mul_assign(&mut acc, &mut tmp, entry);
             }
         }
-        self.from_mont(&r0)
+        self.from_mont(&acc)
+    }
+
+    /// `acc ← acc^(2^count)`, each squaring written into `tmp` and the two
+    /// buffers then swapped.
+    // pprl:secret(acc)
+    fn square_assign(&self, acc: &mut Vec<u64>, tmp: &mut Vec<u64>, count: usize) {
+        for _ in 0..count {
+            self.mont_mul_into(acc, acc, tmp);
+            std::mem::swap(acc, tmp);
+        }
+    }
+
+    /// `acc ← acc · by`, through `tmp` like [`Montgomery::square_assign`].
+    // pprl:secret(acc, by)
+    fn mul_assign(&self, acc: &mut Vec<u64>, tmp: &mut Vec<u64>, by: &[u64]) {
+        self.mont_mul_into(acc, by, tmp);
+        std::mem::swap(acc, tmp);
+    }
+}
+
+// `pow_ct` cuts each exponent limb into whole windows.
+const _: () = assert!(u64::BITS as usize % WINDOW == 0);
+
+/// Copies entry `digit` of `table` (entries of `out.len()` limbs, back to
+/// back) into `out`. The digit is secret, so it steers masks and never an
+/// address: every entry is read, and kept or dropped by an all-ones/zero
+/// mask derived from `k ^ digit` without comparing.
+// pprl:secret(digit)
+fn select_entry(table: &[u64], digit: u64, out: &mut [u64]) {
+    out.fill(0);
+    for (k, entry) in table.chunks_exact(out.len().max(1)).enumerate() {
+        let mask = (1 ^ crate::ct::nonzero_u64(k as u64 ^ digit)).wrapping_neg();
+        for (slot, &limb) in out.iter_mut().zip(entry) {
+            *slot |= limb & mask;
+        }
     }
 }
 
@@ -273,7 +313,7 @@ mod tests {
     }
 
     #[test]
-    fn ladder_matches_window_small() {
+    fn pow_ct_matches_pow_small() {
         for (b, e, m) in [
             (2u64, 10u64, 1_000_003u64),
             (7, 13, 11),
@@ -295,7 +335,7 @@ mod tests {
     }
 
     #[test]
-    fn ladder_even_and_unit_modulus_fall_back() {
+    fn pow_ct_even_and_unit_modulus_fall_back() {
         let base = BigUint::from_u64(3);
         assert_eq!(
             base.mod_pow_ct(&BigUint::from_u64(5), &BigUint::from_u64(16)).to_u64(),
@@ -305,7 +345,7 @@ mod tests {
     }
 
     #[test]
-    fn ladder_fermat_128bit() {
+    fn pow_ct_fermat_128bit() {
         let p = BigUint::from_decimal("170141183460469231731687303715884105727").unwrap();
         let a = BigUint::from_u64(0xCAFE_BABE_DEAD_BEEF);
         let e = &p - &BigUint::one();

@@ -1,9 +1,11 @@
 //! Modular arithmetic helpers and the Montgomery multiplication context.
 //!
 //! Montgomery form turns each modular multiplication inside an
-//! exponentiation into two schoolbook passes with no division, which is what
-//! makes 2048-bit `mod n²` Paillier exponentiations tractable.
+//! exponentiation into one schoolbook-sized pass with no division (product
+//! and reduction interleaved limb by limb), which is what makes 2048-bit
+//! `mod n²` Paillier exponentiations tractable.
 
+use crate::ct::{nonzero_u64, sub_borrow};
 use crate::{BigUint, BignumError};
 
 impl BigUint {
@@ -32,10 +34,10 @@ impl BigUint {
 
 /// Montgomery multiplication context for a fixed odd modulus.
 ///
-/// Construction is O(n²) (computes `R² mod m`); each [`Montgomery::mul`]
-/// afterwards is a single CIOS pass. Values live in *Montgomery form*
-/// (`a·R mod m` where `R = 2^(64·n)`); convert with [`Montgomery::to_mont`] /
-/// [`Montgomery::from_mont`].
+/// Construction is O(n²) (computes `R² mod m`); every product afterwards
+/// is one call of the kernel, [`Montgomery::mont_mul_into`]. Values live in
+/// *Montgomery form* (`a·R mod m` where `R = 2^(64·n)`); convert with
+/// [`Montgomery::to_mont`] / [`Montgomery::from_mont`].
 #[derive(Clone, Debug)]
 pub struct Montgomery {
     modulus: BigUint,
@@ -122,72 +124,83 @@ impl Montgomery {
         self.r1.clone()
     }
 
-    /// CIOS Montgomery product of two `n`-limb Montgomery-form values.
-    ///
-    /// Returns `a·b·R⁻¹ mod m`, padded to `n` limbs. The accumulator is
-    /// exactly `n` limbs plus two scalar overflow limbs (`tn`, `tn1`), and
-    /// every pass is a bounded `zip` — no index arithmetic anywhere near
-    /// the secret operands.
+    /// Montgomery product of two `n`-limb Montgomery-form values:
+    /// `a·b·R⁻¹ mod m`, padded to `n` limbs. Allocates the result and
+    /// hands it to [`Montgomery::mont_mul_into`].
     // pprl:secret(a, b): operands are secret-derived during CRT decryption
     pub fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
+        let mut out = vec![0u64; self.n];
+        self.mont_mul_into(a, b, &mut out);
+        out
+    }
+
+    /// The Montgomery kernel: writes `a·b·R⁻¹ mod m` into `out`. All three
+    /// slices are `n` limbs; `out` cannot alias an operand, so in-place
+    /// walks alternate two buffers:
+    ///
+    /// ```compile_fail,E0502
+    /// # use pprl_bignum::{BigUint, Montgomery};
+    /// let ctx = Montgomery::new(&BigUint::from_u64(1_000_003)).unwrap();
+    /// let mut acc = ctx.one_mont();
+    /// ctx.mont_mul_into(&acc, &acc, &mut acc); // E0502: `acc` is borrowed
+    /// ```
+    ///
+    /// One pass per limb of `a`. Each inner step adds `aᵢ·bⱼ` and the
+    /// reduction term `mᵢ·mⱼ` to accumulator limb `j` on two separate
+    /// carry chains and stores the sum one limb *down*: the division by
+    /// 2^64 that ends every row is the write position, not a pass of its
+    /// own. The limb that cancels to zero lands in a dead local. The
+    /// accumulator is `out` plus one scalar overflow limb, and every pass
+    /// is a bounded `zip` — no index arithmetic near the secret operands.
+    // pprl:secret(a, b): operands are secret-derived during CRT decryption
+    pub fn mont_mul_into(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
         debug_assert_eq!(a.len(), self.n);
         debug_assert_eq!(b.len(), self.n);
-        let n = self.n;
-        let mut t = vec![0u64; n];
-        let mut tn = 0u64;
-
-        for &ai in a.iter() {
-            // t += ai * b
-            let mut carry = 0u128;
-            for (tj, &bj) in t.iter_mut().zip(b.iter()) {
-                let s = *tj as u128 + ai as u128 * bj as u128 + carry;
-                *tj = s as u64;
-                carry = s >> 64;
+        debug_assert_eq!(out.len(), self.n);
+        out.fill(0);
+        let b0 = b.first().copied().unwrap_or(0);
+        let mut top = 0u64;
+        for &ai in a {
+            // mi makes the lowest limb of t + ai·b + mi·m vanish.
+            let t0 = out.first().copied().unwrap_or(0);
+            let mi = t0
+                .wrapping_add(ai.wrapping_mul(b0))
+                .wrapping_mul(self.n0inv);
+            let mut carry_p = 0u64;
+            let mut carry_r = 0u64;
+            let mut cancelled = 0u64;
+            let mut below = &mut cancelled;
+            for ((tj, &bj), &mj) in out.iter_mut().zip(b).zip(&self.m_limbs) {
+                let p = *tj as u128 + ai as u128 * bj as u128 + carry_p as u128;
+                carry_p = (p >> 64) as u64;
+                let r = (p as u64) as u128 + mi as u128 * mj as u128 + carry_r as u128;
+                carry_r = (r >> 64) as u64;
+                *below = r as u64;
+                below = tj;
             }
-            let s = tn as u128 + carry;
-            tn = s as u64;
-            let mut tn1 = (s >> 64) as u64;
-
-            // Add mi * m so the lowest limb cancels to zero...
-            let mi = t.first().copied().unwrap_or(0).wrapping_mul(self.n0inv);
-            let mut carry = 0u128;
-            for (tj, &mj) in t.iter_mut().zip(self.m_limbs.iter()) {
-                let s = *tj as u128 + mi as u128 * mj as u128 + carry;
-                *tj = s as u64;
-                carry = s >> 64;
-            }
-            let s = tn as u128 + carry;
-            tn = s as u64;
-            tn1 = tn1.wrapping_add((s >> 64) as u64);
-
-            // ...then divide by 2^64: the zero limb rotates out, the first
-            // overflow limb rotates in.
-            t.rotate_left(1);
-            t.iter_mut().rev().take(1).for_each(|slot| *slot = tn);
-            tn = tn1;
+            let s = top as u128 + carry_p as u128 + carry_r as u128;
+            *below = s as u64;
+            top = (s >> 64) as u64;
         }
+        self.reduce_once(out, top);
+    }
 
-        // Result in (t, tn) is < 2m; subtract m once if needed. The
-        // subtraction is always performed into a scratch buffer and then
-        // kept or discarded by mask select, so the tail's timing does not
-        // depend on the (secret-derived) product value. The reduced value
-        // is d exactly when the overflow limb is set (the borrow consumes
-        // it) or the low limbs already reach m (no borrow at all).
-        let hi = tn;
-        let mut d = vec![0u64; n];
+    /// Brings `(hi, t) < 2m` into `[0, m)`. The borrow of `t − m` is
+    /// computed first, then `m` is subtracted under a mask, so neither the
+    /// timing nor the stores depend on the (secret-derived) value. The
+    /// subtraction applies exactly when the overflow limb is set (the
+    /// borrow consumes it) or the low limbs already reach `m` (no borrow).
+    // pprl:secret(t, hi)
+    fn reduce_once(&self, t: &mut [u64], hi: u64) {
+        let borrow = t
+            .iter()
+            .zip(&self.m_limbs)
+            .fold(0u64, |borrow, (&tj, &mj)| sub_borrow(tj, mj, borrow).1);
+        let keep = (nonzero_u64(hi) | (1 ^ borrow)).wrapping_neg();
         let mut borrow = 0u64;
-        for ((dj, tj), mj) in d.iter_mut().zip(t.iter()).zip(self.m_limbs.iter()) {
-            let s = (*tj as u128)
-                .wrapping_sub(*mj as u128)
-                .wrapping_sub(borrow as u128);
-            *dj = s as u64;
-            borrow = ((s >> 64) as u64) & 1;
+        for (tj, &mj) in t.iter_mut().zip(&self.m_limbs) {
+            (*tj, borrow) = sub_borrow(*tj, mj & keep, borrow);
         }
-        let keep = (crate::ct::nonzero_u64(hi) | (1 ^ borrow)).wrapping_neg();
-        for (tj, dj) in t.iter_mut().zip(d.iter()) {
-            *tj = (*dj & keep) | (*tj & !keep);
-        }
-        t
     }
 
     /// `(a * b) mod m` on plain values, via Montgomery form.

@@ -45,6 +45,22 @@ impl BigUint {
         BigUint::from_limbs(out)
     }
 
+    /// In-place right shift by `bits`: no allocation.
+    pub(crate) fn shr_assign(&mut self, bits: usize) {
+        let limb_shift = (bits / 64).min(self.limbs.len());
+        self.limbs.drain(..limb_shift);
+        let bit_shift = bits % 64;
+        if bit_shift != 0 {
+            let mut carry = 0u64;
+            for limb in self.limbs.iter_mut().rev() {
+                let shifted = (*limb >> bit_shift) | carry;
+                carry = *limb << (64 - bit_shift);
+                *limb = shifted;
+            }
+        }
+        self.normalize();
+    }
+
     /// Returns bit `i` (little-endian position).
     pub fn bit(&self, i: usize) -> bool {
         let limb = i / 64;

@@ -146,19 +146,170 @@ proptest! {
     }
 
     #[test]
-    fn ladder_matches_window_modpow(a in biguint(), e in biguint(), m in odd_modulus()) {
-        // The constant-time Montgomery ladder and the fixed-window walk
-        // must agree on every (base, exponent, modulus) — including
-        // multi-limb exponents whose leading limbs are zero.
-        prop_assert_eq!(a.mod_pow_ct(&e, &m), a.mod_pow(&e, &m));
+    fn pow_walks_match_binary_reference(a in biguint(), e in biguint(), m in odd_modulus()) {
+        // The masked fixed-window walk, the skipping window walk and plain
+        // square-and-multiply must agree on every (base, exponent,
+        // modulus), multi-limb exponents included.
+        let expected = pow_reference(&a, &e, &m);
+        prop_assert_eq!(a.mod_pow_ct(&e, &m), expected.clone());
+        prop_assert_eq!(a.mod_pow(&e, &m), expected);
     }
 
     #[test]
-    fn ladder_even_modulus_fallback_matches(a in biguint(), e in 0u64..256, m in biguint_nonzero()) {
+    fn gcd_matches_euclid(a in biguint(), b in biguint(), c in biguint()) {
+        prop_assert_eq!(a.gcd(&b), gcd_reference(&a, &b));
+        // A planted common factor, and a zero on either side.
+        let (ac, bc) = (a.mul(&c), b.mul(&c));
+        prop_assert_eq!(ac.gcd(&bc), gcd_reference(&ac, &bc));
+        prop_assert_eq!(a.gcd(&BigUint::zero()), a.clone());
+        prop_assert_eq!(BigUint::zero().gcd(&a), a);
+    }
+
+    #[test]
+    fn pow_ct_even_modulus_fallback_matches(a in biguint(), e in 0u64..256, m in biguint_nonzero()) {
         // Even moduli have no Montgomery form; mod_pow_ct must degrade to
         // the same division-based result as mod_pow.
         let e = BigUint::from_u64(e);
         prop_assert_eq!(a.mod_pow_ct(&e, &m), a.mod_pow(&e, &m));
+    }
+}
+
+/// Euclid with a division per step: the reference for the in-place
+/// binary `gcd`.
+fn gcd_reference(a: &BigUint, b: &BigUint) -> BigUint {
+    let (mut a, mut b) = (a.clone(), b.clone());
+    while !b.is_zero() {
+        (a, b) = (b.clone(), a.rem(&b));
+    }
+    a
+}
+
+/// Binary square-and-multiply over `mod_mul`: the reference for both
+/// Montgomery walks (the crate's own `mod_pow_binary` is private and only
+/// serves even moduli).
+fn pow_reference(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
+    let mut acc = BigUint::one().rem(m);
+    for i in (0..exp.bits()).rev() {
+        acc = acc.mod_mul(&acc, m);
+        if exp.bit(i) {
+            acc = acc.mod_mul(base, m);
+        }
+    }
+    acc
+}
+
+/// Little-endian limbs of `v`, padded to `n`.
+fn limbs_of(v: &BigUint, n: usize) -> Vec<u64> {
+    let mut bytes = v.to_bytes_be_padded(n * 8);
+    bytes.reverse();
+    bytes
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+        .collect()
+}
+
+fn value_of(limbs: &[u64]) -> BigUint {
+    let mut bytes: Vec<u8> = limbs.iter().flat_map(|l| l.to_le_bytes()).collect();
+    bytes.reverse();
+    BigUint::from_bytes_be(&bytes)
+}
+
+/// The Montgomery kernel against `mod_mul`, at every limb count from 1
+/// (where the kernel's inner loop runs once per row and the stored limb is
+/// the overflow sum) to 33 (one past the 2048-bit width), over moduli at
+/// both ends of the top limb and operands at the edges of `[0, m)`.
+#[test]
+fn montgomery_kernel_matches_mod_mul_at_every_width() {
+    let mut rng = StdRng::seed_from_u64(0x6b65_726e);
+    // Miri interprets every limb product: keep the widths that differ in
+    // shape (one limb, two, three, a multi-limb one).
+    let widths: Vec<usize> = if cfg!(miri) {
+        vec![1, 2, 3, 9]
+    } else {
+        (1..=33).collect()
+    };
+    for n in widths {
+        let top = BigUint::one().shl(64 * (n - 1));
+        let full = BigUint::one().shl(64 * n);
+        let mut random_modulus = &random_below(&mut rng, &top.shl(63)) + &top.shl(63);
+        random_modulus.set_bit(0);
+        let moduli = [
+            random_modulus,
+            // All-ones: the product overflows into the kernel's extra limb.
+            full.checked_sub(&BigUint::one()).unwrap(),
+            // Smallest odd n-limb value above one: top limb 1 (3 for n = 1).
+            &top + &BigUint::from_u64(if n == 1 { 2 } else { 1 }),
+        ];
+        for m in &moduli {
+            let ctx = Montgomery::new(m).unwrap();
+            assert_eq!(ctx.limb_count(), n);
+            let r = full.rem(m);
+            assert_eq!(value_of(&ctx.one_mont()), r);
+            let operands = [
+                BigUint::zero(),
+                BigUint::one().rem(m),
+                m.checked_sub(&BigUint::one()).unwrap(),
+                // Every limb below the top one all-ones.
+                top.checked_sub(&BigUint::one()).unwrap(),
+                r.clone(),
+                random_below(&mut rng, m),
+                random_below(&mut rng, m),
+            ];
+            for a in &operands {
+                for b in &operands {
+                    let expected = a.mod_mul(b, m);
+                    // The raw kernel: any reduced limb vector is a valid
+                    // Montgomery form, and the product carries one R⁻¹.
+                    let (al, bl) = (limbs_of(a, n), limbs_of(b, n));
+                    let product = ctx.mont_mul(&al, &bl);
+                    assert_eq!(product.len(), n);
+                    let value = value_of(&product);
+                    assert!(value < *m, "n={n}: product not reduced");
+                    assert_eq!(
+                        value.mod_mul(&r, m),
+                        expected,
+                        "n={n} a={a:?} b={b:?} m={m:?}"
+                    );
+                    // The in-place form writes the same limbs whatever the
+                    // buffer held before.
+                    let mut out = vec![0xDEAD_BEEF_DEAD_BEEF; n];
+                    ctx.mont_mul_into(&al, &bl, &mut out);
+                    assert_eq!(out, product);
+                    // And through the conversions.
+                    assert_eq!(ctx.mul(a, b), expected);
+                }
+            }
+        }
+    }
+}
+
+/// `pow`, `pow_ct` and the binary reference on the exponents where the
+/// window walks change shape: zero, one, a lone high bit (every lower
+/// window zero), all-ones runs ending on and off a window boundary, and
+/// multi-limb exponents whose top limb has only its lowest window set.
+#[test]
+fn pow_walks_agree_on_edge_exponents() {
+    let mut rng = StdRng::seed_from_u64(0x0065_7870);
+    let one = BigUint::one();
+    let mut exponents = vec![BigUint::zero(), one.clone()];
+    for k in [1usize, 3, 4, 5, 63, 64, 65, 127, 128, 130] {
+        exponents.push(one.shl(k));
+        exponents.push(one.shl(k).checked_sub(&one).unwrap());
+    }
+    exponents.push(&one.shl(64) + &BigUint::from_u64(0xF));
+    exponents.push(&one.shl(128) + &BigUint::from_u64(5));
+    exponents.push(&BigUint::from_u64(9).shl(128) + &one.shl(3));
+    for bits in [61usize, 64, 127, 320] {
+        let mut m = &random_below(&mut rng, &one.shl(bits - 1)) + &one.shl(bits - 1);
+        m.set_bit(0);
+        let ctx = Montgomery::new(&m).unwrap();
+        for base in [BigUint::zero(), one.clone(), random_below(&mut rng, &m)] {
+            for e in &exponents {
+                let expected = pow_reference(&base, e, &m);
+                assert_eq!(ctx.pow(&base, e), expected, "pow bits={bits} e={e:?}");
+                assert_eq!(ctx.pow_ct(&base, e), expected, "pow_ct bits={bits} e={e:?}");
+            }
+        }
     }
 }
 

@@ -1,27 +1,39 @@
 //! Timing smoke test for the constant-time exponentiation path
-//! (dudect-flavored, heavily simplified): the Montgomery ladder's
-//! runtime must not depend on the exponent's Hamming weight.
+//! (dudect-flavored, heavily simplified): the runtime of `mod_pow_ct`
+//! must not depend on which exponent bits are set.
 //!
-//! Two same-width 256-bit exponents sit at the extremes of the leakage
-//! axis — `2^255` (one set bit) and `2^256 − 1` (all 256 set) — and are
-//! measured in interleaved rounds so drift (thermal, scheduler) hits
-//! both classes equally. The variable-time window walk would show the
-//! all-ones exponent costing roughly a third more multiplications; the
-//! ladder does one square and one multiply per bit regardless, so the
-//! medians must agree to well under that margin.
+//! `mod_pow_ct` is a fixed-window walk: four squarings and one
+//! multiplication per 4-bit window, the factor fetched by a scan that
+//! reads all sixteen table entries under masks. Each case below puts two
+//! exponents of the *same limb count* (the one exponent-derived quantity
+//! the walk may depend on) at opposite ends of a leakage axis and measures
+//! them in interleaved rounds, so drift (thermal, scheduler) hits both
+//! classes equally:
 //!
-//! The assertion threshold is deliberately loose (50 %) to keep CI
-//! robust on noisy shared runners: the defect this guards against —
-//! accidentally routing `mod_pow_ct` back through the windowed or
-//! binary walk — shows up as a 25–40 % median gap, while scheduler
-//! noise on a median of dozens of samples stays in single digits.
+//! * Hamming weight — one set bit (every window but the top reads entry 0)
+//!   against all bits set (every window reads entry 15). The variable-time
+//!   window walk skips zero windows and would show the dense exponent
+//!   costing roughly a quarter more products.
+//! * Table index — every window reading entry 1 against every window
+//!   reading entry 15, at equal window count. An early-exit scan would
+//!   stop after two entries in one class and run all sixteen in the other.
+//!
+//! Both run at the 256-bit toy shape and at the shape CRT decryption uses
+//! for a 1024-bit key: a 512-bit exponent (`p − 1`) under a 1024-bit
+//! modulus (`p²`).
+//!
+//! The threshold is 15 %. The defect this guards against — routing
+//! `mod_pow_ct` back through the skipping window walk — measures as a 26 %
+//! median gap on the Hamming-weight axis at both shapes (a binary walk
+//! shows more), while the interleaved medians of the masked walk agree to
+//! about 1 % on a shared two-core host.
 
 use pprl_bignum::BigUint;
 use std::time::Instant;
 
 /// Samples per class. Odd, so the median is a single order statistic.
 const SAMPLES: usize = 31;
-/// Ladder runs per sample (amortizes the `Instant` read).
+/// Exponentiations per sample (amortizes the `Instant` read).
 const REPS: usize = 4;
 
 fn median_ns(mut v: Vec<u128>) -> u128 {
@@ -29,23 +41,35 @@ fn median_ns(mut v: Vec<u128>) -> u128 {
     v[v.len() / 2]
 }
 
-#[test]
-fn ladder_timing_independent_of_exponent_hamming_weight() {
-    // 256-bit odd modulus: 2^256 − 189 (a prime, but only odd matters).
+/// `2^bits − 1`.
+fn all_ones(bits: usize) -> BigUint {
+    BigUint::one()
+        .shl(bits)
+        .checked_sub(&BigUint::one())
+        .unwrap()
+}
+
+/// The `bits`-bit exponent whose every 4-bit window is `nibble`.
+fn every_window(nibble: u8, bits: usize) -> BigUint {
+    BigUint::from_bytes_be(&vec![nibble << 4 | nibble; bits / 8])
+}
+
+/// An odd `bits`-bit modulus (`2^bits − 189`) and a base that fills it.
+fn modulus_and_base(bits: usize) -> (BigUint, BigUint) {
     let modulus = BigUint::one()
-        .shl(256)
+        .shl(bits)
         .checked_sub(&BigUint::from_u64(189))
         .unwrap();
-    let base = BigUint::from_u64(0xDEAD_BEEF_CAFE_F00D).mod_mul(&base_mix(), &modulus);
+    let seed = BigUint::from_u128(0x0123_4567_89ab_cdef_fedc_ba98_7654_3210u128);
+    let base = seed.mod_pow(&BigUint::from_u64(bits as u64 / 64 + 1), &modulus);
+    (modulus, base)
+}
 
-    // Same limb count (the one exponent-derived public quantity), extreme
-    // Hamming weights: 1 bit set vs all 256.
-    let exp_sparse = BigUint::one().shl(255);
-    let exp_dense = BigUint::one()
-        .shl(256)
-        .checked_sub(&BigUint::one())
-        .unwrap();
-    assert_eq!(exp_sparse.bits().div_ceil(64), exp_dense.bits().div_ceil(64));
+/// Interleaved medians of `mod_pow_ct` over the two exponents; fails when
+/// they differ by 15 % or more.
+fn assert_same_time(what: &str, modulus_bits: usize, exp_a: &BigUint, exp_b: &BigUint) {
+    let (modulus, base) = modulus_and_base(modulus_bits);
+    assert_eq!(exp_a.bits().div_ceil(64), exp_b.bits().div_ceil(64));
 
     let time_one = |exp: &BigUint| -> u128 {
         let t0 = Instant::now();
@@ -59,38 +83,53 @@ fn ladder_timing_independent_of_exponent_hamming_weight() {
 
     // Warmup: fault in code paths and let the allocator settle.
     for _ in 0..3 {
-        time_one(&exp_sparse);
-        time_one(&exp_dense);
+        time_one(exp_a);
+        time_one(exp_b);
     }
 
-    let mut sparse = Vec::with_capacity(SAMPLES);
-    let mut dense = Vec::with_capacity(SAMPLES);
+    let mut a = Vec::with_capacity(SAMPLES);
+    let mut b = Vec::with_capacity(SAMPLES);
     // Interleave the classes so slow drift cancels instead of biasing
     // whichever class happens to run second.
     for i in 0..SAMPLES {
         if i % 2 == 0 {
-            sparse.push(time_one(&exp_sparse));
-            dense.push(time_one(&exp_dense));
+            a.push(time_one(exp_a));
+            b.push(time_one(exp_b));
         } else {
-            dense.push(time_one(&exp_dense));
-            sparse.push(time_one(&exp_sparse));
+            b.push(time_one(exp_b));
+            a.push(time_one(exp_a));
         }
     }
 
-    let med_sparse = median_ns(sparse);
-    let med_dense = median_ns(dense);
-    let ratio = med_dense.max(med_sparse) as f64 / med_dense.min(med_sparse).max(1) as f64;
+    let (med_a, med_b) = (median_ns(a), median_ns(b));
+    let ratio = med_a.max(med_b) as f64 / med_a.min(med_b).max(1) as f64;
     println!(
-        "ladder medians: HW=1 {med_sparse} ns, HW=256 {med_dense} ns, ratio {ratio:.3}"
+        "{what} @ {modulus_bits}-bit modulus: medians {med_a} ns vs {med_b} ns, ratio {ratio:.3}"
     );
     assert!(
-        ratio < 1.5,
-        "ladder timing varies with exponent Hamming weight: \
-         HW=1 median {med_sparse} ns vs HW=256 median {med_dense} ns (ratio {ratio:.3})"
+        ratio < 1.15,
+        "mod_pow_ct timing varies with {what}: medians {med_a} ns vs {med_b} ns (ratio {ratio:.3})"
     );
 }
 
-/// A second multiplicand so the base is not a round single-limb value.
-fn base_mix() -> BigUint {
-    BigUint::from_u128(0x0123_4567_89ab_cdef_fedc_ba98_7654_3210u128)
+/// One test, cases in sequence: two timing tests on parallel test threads
+/// would be each other's noise.
+#[test]
+fn timing_independent_of_exponent_bits() {
+    // (modulus bits, exponent bits): the 256-bit toy shape, then the shape
+    // CRT decryption uses for a 1024-bit key.
+    for (modulus_bits, exp_bits) in [(256, 256), (1024, 512)] {
+        assert_same_time(
+            "exponent Hamming weight",
+            modulus_bits,
+            &BigUint::one().shl(exp_bits - 1),
+            &all_ones(exp_bits),
+        );
+        assert_same_time(
+            "window table index",
+            modulus_bits,
+            &every_window(0x1, exp_bits),
+            &every_window(0xF, exp_bits),
+        );
+    }
 }

@@ -1097,6 +1097,7 @@ fn run_holder_paillier(
         w.sync()?;
     }
 
+    answer_startup_dial(role, ordinal, &mut data)?;
     // Ship the ledger home so the querier's report reaches cost parity.
     querier.send_ledger(&ledger).map_err(net_err)?;
 
@@ -1296,6 +1297,7 @@ fn run_holder_bloom(
         w.sync()?;
     }
 
+    answer_startup_dial(role, ordinal, &mut data)?;
     querier.send_ledger(&ledger).map_err(net_err)?;
 
     let mut stats = querier.stats;
@@ -1304,6 +1306,19 @@ fn run_holder_bloom(
         stats.merge(&mux.stats());
     }
     Ok((ledger, stats, replayed, live))
+}
+
+/// Bob dials Alice at startup and blocks on her hello reply, which her
+/// first pair send produces. A schedule with no pair to exchange (`pairs`
+/// walked: none) never touches that link, so Alice claims his dial before
+/// she returns and closes her listener; otherwise he redials a dead port
+/// until the reconnect deadline and the querier waits as long for his
+/// ledger.
+fn answer_startup_dial(role: Role, pairs: u64, data: &mut PeerChannel) -> Result<(), LinkageError> {
+    if role == Role::Alice && pairs == 0 {
+        data.ensure_connected().map_err(net_err)?;
+    }
+    Ok(())
 }
 
 /// Bob's CLK reply for one pair: decode Alice's filter, tally Dice

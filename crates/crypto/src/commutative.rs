@@ -102,7 +102,7 @@ impl CommutativeKey {
     /// Encrypts a raw plaintext byte string (hash-then-exponentiate).
     ///
     /// The exponent is this party's long-lived secret key, so the
-    /// exponentiation uses the constant-time ladder: across a run every
+    /// exponentiation uses the constant-time walk: across a run every
     /// element is raised to the *same* secret, which is exactly the
     /// repeated-measurement setting timing attacks need.
     pub fn encrypt_value(&self, value: &[u8]) -> BigUint {

@@ -87,7 +87,7 @@ impl PublicKey {
     /// side channel, and byte accounting that is reproducible run to run
     /// (randomizers from a pool encode to the same size as inline ones).
     pub fn ciphertext_width(&self) -> usize {
-        self.n2.to_bytes_be().len()
+        self.ciphertext_bytes()
     }
 
     /// Bit length of the modulus (the "key size" in the paper's terms).
@@ -201,9 +201,11 @@ impl PublicKey {
         }
     }
 
-    /// Checks that a ciphertext is a valid element of `Z*_{n²}`.
+    /// Checks that a ciphertext is a valid element of `Z*_{n²}`. A unit
+    /// mod `n²` is a unit mod `n`, so the gcd runs on `c mod n`: operands
+    /// of equal width, half the ciphertext's.
     pub fn validate(&self, c: &Ciphertext) -> Result<(), CryptoError> {
-        if c.0.is_zero() || c.0 >= self.n2 || !c.0.gcd(&self.n).is_one() {
+        if c.0.is_zero() || c.0 >= self.n2 || !c.0.rem(&self.n).gcd(&self.n).is_one() {
             return Err(CryptoError::InvalidCiphertext);
         }
         Ok(())
@@ -227,7 +229,7 @@ impl PublicKey {
     ///
     /// The scalar is a party's private record value in the secure
     /// distance protocol (Bob raises `Enc(−2r)` to his `s`), so the
-    /// exponentiation uses the constant-time ladder.
+    /// exponentiation uses the constant-time walk.
     pub fn mul_plain(&self, c: &Ciphertext, k: &BigUint) -> Ciphertext {
         Ciphertext(self.mont_n2.pow_ct(&c.0, &k.rem(&self.n)))
     }
@@ -270,6 +272,9 @@ pub struct PrivateKey {
     q: BigUint,
     p2: BigUint,
     q2: BigUint,
+    /// The CRT decryption exponents `p − 1` and `q − 1`.
+    p_minus_1: BigUint,
+    q_minus_1: BigUint,
     /// `hp = L_p(g^(p−1) mod p²)⁻¹ mod p`.
     hp: BigUint,
     /// `hq = L_q(g^(q−1) mod q²)⁻¹ mod q`.
@@ -295,6 +300,8 @@ impl Drop for PrivateKey {
         self.q.zeroize();
         self.p2.zeroize();
         self.q2.zeroize();
+        self.p_minus_1.zeroize();
+        self.q_minus_1.zeroize();
         self.hp.zeroize();
         self.hq.zeroize();
         self.p_inv_q.zeroize();
@@ -309,21 +316,21 @@ impl PrivateKey {
         &self.public
     }
 
-    /// Decrypts to the reduced plaintext `m ∈ Z_n` using CRT
-    /// (≈4× faster than the direct `λ`-exponentiation mod `n²`).
+    /// Decrypts to the reduced plaintext `m ∈ Z_n` using CRT: two
+    /// half-width exponentiations mod `p²` and `q²` with half-length
+    /// exponents (`bignum.pow_ct_1024_us` each at 1024 bits), where the
+    /// direct route is one `λ`-exponentiation mod `n²`.
     pub fn decrypt(&self, c: &Ciphertext) -> Result<BigUint, CryptoError> {
         self.public.validate(c)?;
-        let p_minus_1 = &self.p - &BigUint::one();
-        let q_minus_1 = &self.q - &BigUint::one();
 
         // m_p = L_p(c^(p−1) mod p²) · hp mod p. The exponents p−1 and
-        // q−1 are key material: the ladder keeps the exponentiation's
-        // runtime independent of their bit patterns.
-        let cp = self.mont_p2.pow_ct(&c.0.rem(&self.p2), &p_minus_1);
+        // q−1 are key material: the fixed-window walk keeps the
+        // exponentiation's runtime independent of their bit patterns.
+        let cp = self.mont_p2.pow_ct(&c.0.rem(&self.p2), &self.p_minus_1);
         let lp = l_function(&cp, &self.p);
         let mp = lp.mod_mul(&self.hp, &self.p);
 
-        let cq = self.mont_q2.pow_ct(&c.0.rem(&self.q2), &q_minus_1);
+        let cq = self.mont_q2.pow_ct(&c.0.rem(&self.q2), &self.q_minus_1);
         let lq = l_function(&cq, &self.q);
         let mq = lq.mod_mul(&self.hq, &self.q);
 
@@ -437,7 +444,7 @@ impl Keypair {
             .map_err(|_| CryptoError::InvalidKey("q² must be odd".into()))?;
 
         // g = n + 1; hp = L_p(g^(p−1) mod p²)⁻¹ mod p. Same secret
-        // exponents as decryption, so same constant-time ladder.
+        // exponents as decryption, so same constant-time walk.
         let g = &n + &BigUint::one();
         let p_minus_1 = &p - &BigUint::one();
         let q_minus_1 = &q - &BigUint::one();
@@ -460,6 +467,8 @@ impl Keypair {
                 q,
                 p2,
                 q2,
+                p_minus_1,
+                q_minus_1,
                 hp,
                 hq,
                 p_inv_q,
