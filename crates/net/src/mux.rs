@@ -16,7 +16,7 @@ use crate::stream::FramedStream;
 use crate::trace::net_trace;
 use crate::{NetError, NetStats};
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -35,8 +35,12 @@ const REFUSAL_WRITE_TIMEOUT: Duration = Duration::from_millis(200);
 /// an honest dialer that hits it should come straight back.
 const REFUSAL_RETRY: Duration = Duration::from_millis(100);
 
-/// How often the accept loop sweeps parked mailboxes for idle streams.
+/// How often the reaper sweeps parked mailboxes for idle streams.
 const REAP_INTERVAL: Duration = Duration::from_millis(250);
+
+/// How long a dropped mux spends dialing its own listener to wake the
+/// accept thread out of `accept`.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Connection-supervision knobs for a listening mux.
 #[derive(Clone, Copy, Debug)]
@@ -208,6 +212,8 @@ pub struct SessionMux {
     local_addr: SocketAddr,
     shared: Arc<MuxShared>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
+    /// Runs only under an idle timeout ([`MuxLimits::idle_timeout`]).
+    reaper_thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl SessionMux {
@@ -241,7 +247,6 @@ impl SessionMux {
     ) -> Result<Self, NetError> {
         let listener = bind_listener(addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let shared = Arc::new(MuxShared {
             shutdown: AtomicBool::new(false),
             mailboxes: Mutex::new(HashMap::new()),
@@ -257,11 +262,21 @@ impl SessionMux {
         let accept_thread = std::thread::Builder::new()
             .name("pprl-net-accept".into())
             .spawn(move || accept_loop(listener, worker))?;
-        Ok(SessionMux {
+        let mut mux = SessionMux {
             local_addr,
             shared,
             accept_thread: Some(accept_thread),
-        })
+            reaper_thread: None,
+        };
+        if let Some(idle) = limits.idle_timeout {
+            let worker = Arc::clone(&mux.shared);
+            mux.reaper_thread = Some(
+                std::thread::Builder::new()
+                    .name("pprl-net-reap".into())
+                    .spawn(move || reap_loop(&worker, idle))?,
+            );
+        }
+        Ok(mux)
     }
 
     /// The bound address (with the kernel-assigned port resolved).
@@ -337,16 +352,48 @@ impl SessionMux {
 impl Drop for SessionMux {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept_thread.take() {
+        // The reaper checks the flag holding the mailbox lock and then
+        // waits on `arrived`: passing through the lock puts this notify
+        // after that check, so it cannot be missed.
+        drop(self.shared.mailboxes.lock());
+        self.shared.arrived.notify_all();
+        if let Some(handle) = self.reaper_thread.take() {
             let _ = handle.join();
+        }
+        // The accept thread blocks in `accept`, so a connection from here
+        // is what wakes it; it sees the flag and closes the listener. If
+        // the dial fails (backlog full) the thread is left to exit on the
+        // next connection it is handed rather than joined forever.
+        let woken = TcpStream::connect_timeout(&wake_addr(self.local_addr), WAKE_TIMEOUT).is_ok();
+        if let Some(handle) = self.accept_thread.take() {
+            if woken {
+                let _ = handle.join();
+            }
         }
     }
 }
 
+/// Where a mux dials itself: the bound address, or loopback when it is
+/// bound to every interface.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
+/// Blocks in `accept`, so a dial reaches its greeter as it lands.
 fn accept_loop(listener: TcpListener, shared: Arc<MuxShared>) {
-    let mut last_reap = Instant::now();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // Checked after every wake-up: the connection may be the one a
+        // dropped mux dials to end this loop.
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((socket, _)) => {
                 // The accept thread never reads from a connection: each
                 // one goes to a short-lived greeter with its own deadline,
@@ -371,15 +418,24 @@ fn accept_loop(listener: TcpListener, shared: Arc<MuxShared>) {
                     shared.greeting.fetch_sub(1, Ordering::SeqCst);
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if last_reap.elapsed() >= REAP_INTERVAL {
-                    last_reap = Instant::now();
-                    reap_idle(&shared);
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // Out of descriptors, or a dialer that reset before it was
+            // accepted: pause so a failure that persists cannot spin.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
+    }
+}
+
+/// Sweeps the mailboxes every [`REAP_INTERVAL`] until the mux is dropped.
+fn reap_loop(shared: &MuxShared, idle: Duration) {
+    let Ok(mut boxes) = shared.mailboxes.lock() else {
+        return;
+    };
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        let Ok((next, _)) = shared.arrived.wait_timeout(boxes, REAP_INTERVAL) else {
+            return;
+        };
+        boxes = next;
+        reap_idle(shared, &mut boxes, idle);
     }
 }
 
@@ -403,19 +459,14 @@ fn refuse_over_cap(socket: TcpStream, shared: &MuxShared) {
 
 /// Discards parked streams nobody claimed within the idle timeout, so a
 /// daemon's mailboxes cannot accumulate sockets from dialers that gave up.
-fn reap_idle(shared: &MuxShared) {
-    let Some(idle) = shared.limits.idle_timeout else {
-        return;
-    };
+fn reap_idle(shared: &MuxShared, boxes: &mut Mailboxes, idle: Duration) {
     let mut reaped = 0u64;
-    if let Ok(mut boxes) = shared.mailboxes.lock() {
-        for queue in boxes.values_mut() {
-            let before = queue.len();
-            queue.retain(|(_, _, parked_at)| parked_at.elapsed() < idle);
-            reaped += (before - queue.len()) as u64;
-        }
-        boxes.retain(|_, queue| !queue.is_empty());
+    for queue in boxes.values_mut() {
+        let before = queue.len();
+        queue.retain(|(_, _, parked_at)| parked_at.elapsed() < idle);
+        reaped += (before - queue.len()) as u64;
     }
+    boxes.retain(|_, queue| !queue.is_empty());
     if reaped > 0 {
         net_trace!("mux reaped {reaped} idle parked stream(s)");
         if let Ok(mut total) = shared.stats.lock() {
@@ -740,6 +791,12 @@ mod tests {
         assert_eq!(kind, K_BUSY);
         let busy = Busy::decode(&payload).unwrap();
         assert!(busy.retry_after_ms > 0);
+        // The accept thread counts the refusal after it has written the
+        // frame this thread just read.
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while mux.stats().refused == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(20));
+        }
         assert!(mux.stats().refused >= 1, "the refusal was counted");
     }
 
@@ -790,6 +847,27 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
         }
         assert!(mux.stats().violations >= 1);
+    }
+
+    #[test]
+    fn drop_closes_the_listener_whatever_address_it_bound() {
+        // A mux bound to every interface has to wake its accept thread
+        // over loopback; one with a reaper has to stop that too.
+        for listen in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let limits = MuxLimits {
+                idle_timeout: Some(Duration::from_secs(30)),
+                ..MuxLimits::default()
+            };
+            let mux =
+                SessionMux::bind_supervised(listen, Some(Duration::from_secs(5)), None, limits)
+                    .unwrap();
+            let addr = wake_addr(mux.local_addr());
+            drop(mux);
+            assert!(
+                TcpStream::connect(addr).is_err(),
+                "{listen}: the listener outlived its mux"
+            );
+        }
     }
 
     #[test]

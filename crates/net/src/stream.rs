@@ -6,12 +6,19 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+/// Most bytes one `read` takes off the socket.
+const READ_CHUNK: usize = 16 * 1024;
+
 /// One TCP connection speaking the frame codec, with byte accounting.
 #[derive(Debug)]
 pub struct FramedStream {
     stream: TcpStream,
     decoder: FrameDecoder,
     read_timeout: Option<Duration>,
+    /// Where `recv` lands socket bytes before the decoder takes them.
+    /// Owned by the connection: an array on `recv`'s stack is zeroed on
+    /// every call, which at this size costs more than the read.
+    chunk: Vec<u8>,
     /// When the decoder first reported an *incomplete* frame with no
     /// newer completion — the clock behind the desync stall check.
     mid_frame_since: Option<Instant>,
@@ -28,6 +35,7 @@ impl FramedStream {
             stream,
             decoder: FrameDecoder::new(),
             read_timeout,
+            chunk: vec![0; READ_CHUNK],
             mid_frame_since: None,
         })
     }
@@ -104,7 +112,6 @@ impl FramedStream {
     /// window; the connection is still usable. Any other error means the
     /// connection is dead and must be re-established.
     pub fn recv(&mut self, stats: &mut NetStats) -> Result<(u8, Vec<u8>), NetError> {
-        let mut chunk = [0u8; 64 * 1024];
         loop {
             if let Some((kind, payload)) = self.decoder.next_frame()? {
                 self.mid_frame_since = None;
@@ -112,10 +119,10 @@ impl FramedStream {
                 stats.bytes_received += (FRAME_OVERHEAD + payload.len()) as u64;
                 return Ok((kind, payload));
             }
-            match self.stream.read(&mut chunk) {
+            match self.stream.read(&mut self.chunk) {
                 Ok(0) => return Err(NetError::Disconnected),
                 // pprl:allow(panic-path): Read::read guarantees n <= chunk.len()
-                Ok(n) => self.decoder.push(&chunk[..n]),
+                Ok(n) => self.decoder.push(&self.chunk[..n]),
                 Err(e)
                     if e.kind() == std::io::ErrorKind::WouldBlock
                         || e.kind() == std::io::ErrorKind::TimedOut =>
