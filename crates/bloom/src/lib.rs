@@ -26,8 +26,8 @@ mod clk;
 pub mod wire;
 
 pub use clk::{
-    blip_flip, blip_threshold, dice_match, dice_millis, encode_fields, Clk, ClkParams,
-    DiceCounts, SIDE_A, SIDE_B,
+    blip_flip, blip_threshold, dice_match, dice_millis, encode_fields, Clk, ClkParams, ClkRef,
+    ClkSlab, DiceCounts, SIDE_A, SIDE_B,
 };
 pub use wire::{
     clk_msg_len, decode_clk, decode_dice, encode_clk, encode_dice, DiceMsg, WireError,

@@ -17,7 +17,7 @@
 //! payload tags (1–4, 16–18) and the envelope tag (0xE5), so a
 //! misrouted frame is caught by the first byte.
 
-use crate::clk::Clk;
+use crate::clk::{Clk, ClkRef};
 use std::fmt;
 
 /// Alice → Bob: packed CLK bits + DP flip count.
@@ -65,10 +65,11 @@ pub fn clk_msg_len(filter_len: u32) -> usize {
 }
 
 /// Encodes one filter: `[TAG_CLK][packed bits][u32 LE flips]`.
-pub fn encode_clk(clk: &Clk, flips: u32) -> Vec<u8> {
+pub fn encode_clk<'a>(clk: impl Into<ClkRef<'a>>, flips: u32) -> Vec<u8> {
+    let clk = clk.into();
     let mut buf = Vec::with_capacity(clk_msg_len(clk.nbits()));
     buf.push(TAG_CLK);
-    buf.extend_from_slice(clk.as_bytes());
+    clk.pack_into(&mut buf);
     buf.extend_from_slice(&flips.to_le_bytes());
     buf
 }
@@ -108,7 +109,7 @@ pub fn decode_clk(buf: &[u8], filter_len: u32) -> Result<(Clk, u32), WireError> 
         expected,
         got: buf.len(),
     })?;
-    let clk = Clk::from_bytes(filter_len, bits.to_vec()).ok_or(WireError::Padding)?;
+    let clk = Clk::from_bytes(filter_len, bits).ok_or(WireError::Padding)?;
     let flips = read_u32(buf, 1 + nbytes)?;
     Ok((clk, flips))
 }

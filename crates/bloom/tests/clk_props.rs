@@ -6,12 +6,15 @@
 //! never to a filter or verdict. The round-trip and determinism
 //! properties pin what resume correctness rests on: identical inputs
 //! encode to identical bytes, and the threshold decision is a pure
-//! function of the tallies.
+//! function of the tallies. The tally properties pin the word-parallel
+//! kernel: one pass over `u64` words with cached cardinalities must count
+//! what a bit-by-bit walk counts, at every word-boundary filter length.
 
 use proptest::prelude::*;
 use pprl_bloom::{
-    clk_msg_len, decode_clk, decode_dice, dice_match, dice_millis, encode_clk, encode_dice,
-    encode_fields, ClkParams, DiceCounts, DiceMsg, WireError, DICE_MSG_LEN, TAG_CLK, TAG_DICE,
+    blip_flip, clk_msg_len, decode_clk, decode_dice, dice_match, dice_millis, encode_clk,
+    encode_dice, encode_fields, Clk, ClkParams, ClkRef, DiceCounts, DiceMsg, WireError,
+    DICE_MSG_LEN, SIDE_A, SIDE_B, TAG_CLK, TAG_DICE,
 };
 
 /// Small-but-irregular filter lengths: byte-aligned, off-by-one, and the
@@ -45,7 +48,91 @@ fn any_fields() -> impl Strategy<Value = Vec<String>> {
     )
 }
 
+/// Filter lengths on either side of a byte and a word boundary, plus the
+/// paper's 1000 bits and one past it.
+const EDGE_LENS: [u32; 8] = [1, 7, 8, 63, 64, 65, 1000, 1001];
+/// Packed bytes of the longest edge length.
+const EDGE_BYTES: usize = 126;
+
+fn packed(clk: &Clk) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    ClkRef::from(clk).pack_into(&mut bytes);
+    bytes
+}
+
+/// An `nbits`-bit filter cut from arbitrary bytes, padding cleared.
+fn filter_from(nbits: u32, noise: &[u8]) -> Clk {
+    let mut bytes = noise[..(nbits as usize).div_ceil(8)].to_vec();
+    if nbits % 8 != 0 {
+        *bytes.last_mut().unwrap() &= !(!0u8 << (nbits % 8));
+    }
+    Clk::from_bytes(nbits, &bytes).expect("well-formed filter")
+}
+
+/// The tallies counted one bit at a time from the packed bytes.
+fn reference_counts(a: &Clk, b: &Clk) -> DiceCounts {
+    let (pa, pb) = (packed(a), packed(b));
+    let bit = |bytes: &[u8], j: u32| bytes[(j / 8) as usize] >> (j % 8) & 1 == 1;
+    let mut counts = DiceCounts {
+        a_ones: 0,
+        b_ones: 0,
+        common: 0,
+    };
+    for j in 0..a.nbits() {
+        let (x, y) = (bit(&pa, j), bit(&pb, j));
+        counts.a_ones += u32::from(x);
+        counts.b_ones += u32::from(y);
+        counts.common += u32::from(x && y);
+    }
+    counts
+}
+
 proptest! {
+    /// The one-pass tally equals the bit-by-bit reference at every edge
+    /// length, for arbitrary filters and against the all-zero and
+    /// all-one filters.
+    #[test]
+    fn one_pass_dice_equals_the_bit_by_bit_reference(
+        noise_a in prop::collection::vec(any::<u8>(), EDGE_BYTES..EDGE_BYTES + 1),
+        noise_b in prop::collection::vec(any::<u8>(), EDGE_BYTES..EDGE_BYTES + 1),
+    ) {
+        for nbits in EDGE_LENS {
+            let a = filter_from(nbits, &noise_a);
+            let b = filter_from(nbits, &noise_b);
+            let zero = Clk::zero(nbits);
+            let full = filter_from(nbits, &[0xff; EDGE_BYTES]);
+            prop_assert_eq!(full.ones(), nbits);
+            for (x, y) in [
+                (&a, &b), (&a, &a), (&a, &zero), (&zero, &b), (&a, &full), (&full, &b),
+                (&zero, &zero), (&zero, &full), (&full, &full),
+            ] {
+                prop_assert_eq!(DiceCounts::of(x, y), Some(reference_counts(x, y)));
+            }
+        }
+    }
+
+    /// The cached cardinality is the real one after every way a filter
+    /// comes to be: gram insertion, DP flips, and the wire decoder.
+    #[test]
+    fn cached_ones_equal_a_recount(
+        params in any_params(),
+        fields in any_fields(),
+        epsilon_millis in 0u32..=5000,
+        row in any::<u32>(),
+        side in prop_oneof![Just(SIDE_A), Just(SIDE_B)],
+    ) {
+        let recount = |clk: &Clk| packed(clk).iter().map(|b| b.count_ones()).sum::<u32>();
+        let mut params = params;
+        params.epsilon_millis = epsilon_millis;
+        let mut clk = encode_fields(&params, &fields);
+        prop_assert_eq!(clk.ones(), recount(&clk));
+        let flips = blip_flip(&mut clk, &params, side, row);
+        prop_assert_eq!(clk.ones(), recount(&clk));
+        let (back, _) = decode_clk(&encode_clk(&clk, flips), params.filter_len).unwrap();
+        prop_assert_eq!(back.ones(), recount(&back));
+        prop_assert_eq!(back.ones(), clk.ones());
+    }
+
     /// encode ∘ decode is the identity on every (params, record) pair —
     /// the exact bytes a resumed holder re-derives must parse back to
     /// the exact filter the first incarnation sent.

@@ -1119,6 +1119,11 @@ fn run_holder_paillier(
 /// tally message plus Alice's ack, the querier records Bob's ack — four
 /// recordings per pair, exactly what the local [`pprl_smc`] bloom
 /// backend mirrors, so the merged report is byte-identical.
+///
+/// The holder's own filters (Alice's R-rows, Bob's S-rows) come from one
+/// [`pprl_smc::ClkBank`]: a row is encoded the first time a pair still to
+/// be exchanged reaches it. Ordinals at or below the resume watermark
+/// only advance the walk.
 #[allow(clippy::too_many_arguments)]
 fn run_holder_bloom(
     mut runner: pprl_smc::SmcRunner<'_>,
@@ -1135,30 +1140,34 @@ fn run_holder_bloom(
     let mut ledger = progress.restored_ledger();
     let restored_watermark = progress.watermark();
     let replayed = progress.pairs.len() as u64;
-    let side = if role == Role::Alice {
-        pprl_bloom::SIDE_A
-    } else {
-        pprl_bloom::SIDE_B
-    };
+    let mut bank = pprl_smc::ClkBank::new(
+        params,
+        if role == Role::Alice {
+            pprl_bloom::SIDE_A
+        } else {
+            pprl_bloom::SIDE_B
+        },
+    );
     let window = opts.window.max(1);
 
     let mut live = 0u64;
     let mut ordinal = 0u64;
     if window == 1 {
-        while let Some(walked) = runner.walk_next_clk(&params, side)? {
+        while let Some((ri, si)) = runner.walk_next_pair()? {
             ordinal += 1;
             if ordinal <= restored_watermark {
                 continue; // journaled before the crash; costs already restored
             }
             let before = ledger.clone();
             let event = PairEvent {
-                ri: walked.ri,
-                si: walked.si,
+                ri,
+                si,
                 decision: pprl_smc::PairDecision::NonMatch, // placeholder: holders never learn
             };
             match role {
                 Role::Alice => {
-                    let message = pprl_bloom::wire::encode_clk(&walked.clk, walked.flips);
+                    let (clk, flips) = runner.clk_lookup(&mut bank, ri)?;
+                    let message = pprl_bloom::wire::encode_clk(clk, flips);
                     ledger.record_message(message.len());
                     data.send_data(ordinal, &message).map_err(net_err)?;
                     let delta = delta_of(&ledger, &before)?;
@@ -1177,8 +1186,9 @@ fn run_holder_bloom(
                             incoming.pair_id
                         )));
                     }
+                    let (clk, flips) = runner.clk_lookup(&mut bank, si)?;
                     let message =
-                        bob_dice_reply(&params, &incoming.payload, &walked, &mut ledger)?;
+                        bob_dice_reply(&params, &incoming.payload, clk, flips, &mut ledger)?;
                     querier.send_data(ordinal, &message).map_err(net_err)?;
                     ledger.record_message(ENVELOPE_OVERHEAD);
                     let delta = delta_of(&ledger, &before)?;
@@ -1198,17 +1208,18 @@ fn run_holder_bloom(
         match role {
             Role::Alice => {
                 let mut pending: VecDeque<(u64, PairEvent, CostLedger)> = VecDeque::new();
-                while let Some(walked) = runner.walk_next_clk(&params, side)? {
+                while let Some((ri, si)) = runner.walk_next_pair()? {
                     ordinal += 1;
                     if ordinal <= restored_watermark {
                         continue;
                     }
+                    let (clk, flips) = runner.clk_lookup(&mut bank, ri)?;
                     let before = ledger.clone();
-                    let message = pprl_bloom::wire::encode_clk(&walked.clk, walked.flips);
+                    let message = pprl_bloom::wire::encode_clk(clk, flips);
                     ledger.record_message(message.len());
                     let event = PairEvent {
-                        ri: walked.ri,
-                        si: walked.si,
+                        ri,
+                        si,
                         decision: pprl_smc::PairDecision::NonMatch,
                     };
                     let delta = delta_of(&ledger, &before)?;
@@ -1229,7 +1240,7 @@ fn run_holder_bloom(
             }
             Role::Bob => {
                 let mut pending: VecDeque<PendingBobCommit> = VecDeque::new();
-                while let Some(walked) = runner.walk_next_clk(&params, side)? {
+                while let Some((ri, si)) = runner.walk_next_pair()? {
                     ordinal += 1;
                     if ordinal <= restored_watermark {
                         continue;
@@ -1261,13 +1272,14 @@ fn run_holder_bloom(
                             incoming.pair_id
                         )));
                     }
+                    let (clk, flips) = runner.clk_lookup(&mut bank, si)?;
                     let message =
-                        bob_dice_reply(&params, &incoming.payload, &walked, &mut ledger)?;
+                        bob_dice_reply(&params, &incoming.payload, clk, flips, &mut ledger)?;
                     querier.submit_data(ordinal, &message);
                     ledger.record_message(ENVELOPE_OVERHEAD);
                     let event = PairEvent {
-                        ri: walked.ri,
-                        si: walked.si,
+                        ri,
+                        si,
                         decision: pprl_smc::PairDecision::NonMatch,
                     };
                     let delta = delta_of(&ledger, &before)?;
@@ -1322,23 +1334,25 @@ fn answer_startup_dial(role: Role, pairs: u64, data: &mut PeerChannel) -> Result
 }
 
 /// Bob's CLK reply for one pair: decode Alice's filter, tally Dice
-/// counts against his own, and ship the tallies (never his filter) to
-/// the querier with the combined DP flip count.
+/// counts against his own (`b_clk`, with `b_flips` DP flips applied),
+/// and ship the tallies (never his filter) to the querier with the
+/// combined DP flip count.
 fn bob_dice_reply(
     params: &pprl_bloom::ClkParams,
     alice_payload: &[u8],
-    walked: &pprl_smc::WalkedClk,
+    b_clk: pprl_bloom::ClkRef<'_>,
+    b_flips: u32,
     ledger: &mut CostLedger,
 ) -> Result<Vec<u8>, LinkageError> {
     let (a_clk, a_flips) = pprl_bloom::wire::decode_clk(alice_payload, params.filter_len)
         .map_err(|e| LinkageError::Net(format!("Alice's CLK message rejected: {e}")))?;
-    let counts = pprl_bloom::DiceCounts::of(&a_clk, &walked.clk)
+    let counts = pprl_bloom::DiceCounts::of(&a_clk, b_clk)
         .ok_or_else(|| LinkageError::Net("clk filter lengths diverged".into()))?;
     let message = pprl_bloom::wire::encode_dice(&pprl_bloom::wire::DiceMsg {
         a_ones: counts.a_ones,
         b_ones: counts.b_ones,
         common: counts.common,
-        flips: a_flips.saturating_add(walked.flips),
+        flips: a_flips.saturating_add(b_flips),
     });
     ledger.record_message(message.len());
     Ok(message)

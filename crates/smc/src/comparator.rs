@@ -16,7 +16,8 @@
 //!   exponentiation.
 //! * **Bloom** ([`crates/bloom`](pprl_bloom)) — q-gram CLK encodings
 //!   compared by Dice coefficient with optional ε-DP bit flipping.
-//!   Decisions are approximate; throughput is bounded by hashing.
+//!   Decisions are approximate; each record is hashed once per job
+//!   ([`ClkBank`]) and a pair costs one word-parallel Dice tally.
 //!
 //! The backend choice is *fingerprinted*: it is part of [`SmcMode`],
 //! whose `Debug` rendering feeds the job fingerprint that the run
@@ -32,13 +33,14 @@
 //! parties, so the single-process report and the merged three-process
 //! report are byte-identical.
 
+use crate::clk_bank::ClkBank;
 use crate::executor::{
     batch_encode, encode_attribute, ChannelConfig, CompareOutcome, RemoteParty, SmcMode,
 };
 use crate::SmcError;
 use pprl_blocking::{records_match, AttrDistance, MatchingRule};
 use pprl_bloom::wire as clk_wire;
-use pprl_bloom::{blip_flip, dice_match, encode_fields, ClkParams, DiceCounts, SIDE_A, SIDE_B};
+use pprl_bloom::{dice_match, ClkParams, DiceCounts, SIDE_A, SIDE_B};
 use pprl_crypto::paillier::Keypair;
 use pprl_crypto::protocol::message::ProtocolMessage;
 use pprl_crypto::protocol::retry::{ReliableLink, RetryPolicy};
@@ -221,6 +223,8 @@ pub(crate) fn build(
             }
             Ok(Box::new(ClkComparator {
                 params,
+                alice: ClkBank::new(params, SIDE_A),
+                bob: ClkBank::new(params, SIDE_B),
                 bits: 0,
                 flips: 0,
             }))
@@ -239,22 +243,6 @@ pub fn clk_record_fields(qids: &[usize], rec: &Record) -> Vec<String> {
             Value::Num(v) => (((v * 1000.0).round()) as i64).to_string(),
         })
         .collect()
-}
-
-/// Encodes one side's CLK for a pair: canonicalize, gram, hash, then
-/// apply the side/row-keyed DP flips. Returns the filter and its flip
-/// count. `side` is [`SIDE_A`] for R-rows, [`SIDE_B`] for S-rows.
-pub fn clk_encode_side(
-    params: &ClkParams,
-    qids: &[usize],
-    rec: &Record,
-    side: u8,
-    row: u32,
-) -> (pprl_bloom::Clk, u32) {
-    let fields = clk_record_fields(qids, rec);
-    let mut clk = encode_fields(params, &fields);
-    let flips = blip_flip(&mut clk, params, side, row);
-    (clk, flips)
 }
 
 // ---------------------------------------------------------------------------
@@ -681,12 +669,19 @@ impl Comparator for RemotePaillier {
 // Bloom / CLK
 // ---------------------------------------------------------------------------
 
-/// In-process CLK backend: encodes both sides locally and mirrors, byte
-/// for byte, the ledger entries the three-process deployment records —
-/// Alice's filter message, Bob's journaled ack of it, Bob's Dice-tally
-/// message, and the querier's journaled ack of that.
+/// In-process CLK backend: holds both sides' filter banks and mirrors,
+/// byte for byte, the ledger entries the three-process deployment
+/// records — Alice's filter message, Bob's journaled ack of it, Bob's
+/// Dice-tally message, and the querier's journaled ack of that. Both
+/// messages are fixed-width, so the ledger takes their lengths
+/// ([`clk_wire::clk_msg_len`], [`clk_wire::DICE_MSG_LEN`]) without the
+/// bytes being built: a pair allocates nothing.
 pub(crate) struct ClkComparator {
     params: ClkParams,
+    /// R-rows' filters under [`SIDE_A`].
+    alice: ClkBank,
+    /// S-rows' filters under [`SIDE_B`].
+    bob: ClkBank,
     bits: u64,
     flips: u64,
 }
@@ -706,22 +701,15 @@ impl Comparator for ClkComparator {
         ledger: &mut CostLedger,
     ) -> Result<CompareOutcome, SmcError> {
         let p = self.params;
-        let (clk_a, flips_a) = clk_encode_side(&p, ctx.qids, r, SIDE_A, ri);
-        let (clk_b, flips_b) = clk_encode_side(&p, ctx.qids, s, SIDE_B, si);
+        let (clk_a, flips_a) = self.alice.lookup(ctx.qids, r, ri)?;
+        let (clk_b, flips_b) = self.bob.lookup(ctx.qids, s, si)?;
         // Alice → Bob: the filter message, acked after Bob journals it.
-        let clk_msg = clk_wire::encode_clk(&clk_a, flips_a);
-        ledger.record_message(clk_msg.len());
+        ledger.record_message(clk_wire::clk_msg_len(p.filter_len));
         ledger.record_message(ENVELOPE_OVERHEAD);
-        let counts = DiceCounts::of(&clk_a, &clk_b)
+        let counts = DiceCounts::of(clk_a, clk_b)
             .ok_or(SmcError::Internal("clk filter lengths diverged"))?;
         // Bob → querier: the tallies, acked after the querier journals.
-        let dice_msg = clk_wire::encode_dice(&clk_wire::DiceMsg {
-            a_ones: counts.a_ones,
-            b_ones: counts.b_ones,
-            common: counts.common,
-            flips: flips_a.saturating_add(flips_b),
-        });
-        ledger.record_message(dice_msg.len());
+        ledger.record_message(clk_wire::DICE_MSG_LEN);
         ledger.record_message(ENVELOPE_OVERHEAD);
         self.bits += 2 * u64::from(p.filter_len);
         self.flips += u64::from(flips_a) + u64::from(flips_b);
@@ -732,9 +720,10 @@ impl Comparator for ClkComparator {
     }
 
     // Deliberately not forkable: the live bit/flip counters feed the
-    // metrics dump, and parallel forks would drop their tallies on the
-    // floor. Hashing is cheap enough that sequential is never the
-    // bottleneck (the walk itself dominates).
+    // metrics dump and the banks are filled as the walk goes; forks
+    // would drop their tallies and encode shared rows once per worker.
+    // With the banks a pair is one Dice tally, a fraction of a
+    // microsecond — less than handing it to another thread costs.
 
     fn connect_remote(
         &mut self,
@@ -832,20 +821,46 @@ mod tests {
         }
     }
 
+    /// The in-process backend books message lengths without building the
+    /// messages; the lengths it books must be the real encoders' output.
     #[test]
-    fn clk_encode_side_is_side_and_row_keyed() {
+    fn clk_ledger_entries_are_the_real_wire_lengths() {
         let data = generate(&SynthConfig {
             records: 4,
             seed: 1,
         });
-        let rec = &data.records()[0];
-        let qids: Vec<usize> = (0..3).collect();
-        let mut params = ClkParams::paper_defaults(7);
-        params.epsilon_millis = 2000;
-        let (a0, _) = clk_encode_side(&params, &qids, rec, SIDE_A, 0);
-        let (a0_again, _) = clk_encode_side(&params, &qids, rec, SIDE_A, 0);
-        let (a1, _) = clk_encode_side(&params, &qids, rec, SIDE_A, 1);
-        assert_eq!(a0, a0_again);
-        assert_ne!(a0, a1, "row key must vary the DP noise");
+        let qids: Vec<usize> = (0..5).collect();
+        let rule = MatchingRule::uniform(data.schema(), &qids, 0.05);
+        let params = ClkParams::paper_defaults(7);
+        let mut ledger = CostLedger::new();
+        let mut backend = build(SmcMode::Bloom { params }, None, &rule, &mut ledger, None)
+            .unwrap_or_else(|e| panic!("bloom backend: {e}"));
+        let norms = vec![1.0; qids.len()];
+        let ctx = CompareCtx {
+            schema: data.schema(),
+            rule: &rule,
+            norms: &norms,
+            qids: &qids,
+        };
+        let (r, s) = (&data.records()[0], &data.records()[1]);
+        let outcome = backend.compare(&ctx, 0, 1, r, s, &mut ledger).unwrap();
+
+        let a = pprl_bloom::encode_fields(&params, &clk_record_fields(&qids, r));
+        let b = pprl_bloom::encode_fields(&params, &clk_record_fields(&qids, s));
+        let counts = DiceCounts::of(&a, &b).unwrap();
+        let dice = clk_wire::encode_dice(&clk_wire::DiceMsg {
+            a_ones: counts.a_ones,
+            b_ones: counts.b_ones,
+            common: counts.common,
+            flips: 0,
+        });
+        assert_eq!(ledger.messages, 4);
+        assert_eq!(
+            ledger.bytes as usize,
+            clk_wire::encode_clk(&a, 0).len() + dice.len() + 2 * ENVELOPE_OVERHEAD
+        );
+        let verdict = dice_match(&counts, params.threshold_millis);
+        assert!(matches!(outcome, CompareOutcome::Decided(v) if v == verdict));
+        assert_eq!(backend.wire_counters(), (2000, 0));
     }
 }

@@ -35,6 +35,7 @@
 //!   compared, and degrade through the same [`LabelingStrategy`] path.
 
 use crate::allowance::SmcAllowance;
+use crate::clk_bank::ClkBank;
 use crate::comparator::{self, Comparator, CompareCtx, ComparatorStats};
 use crate::deadline::{DeadlineBudget, DeadlineClock};
 use crate::heuristics::{order_unknown, SelectionHeuristic};
@@ -441,22 +442,6 @@ pub struct WalkedPair {
     pub si: u32,
     /// Batched encoding; `None` for a trivial match.
     pub encoded: Option<EncodedPair>,
-}
-
-/// One step of the CLK pair walk as seen by a data-holder process: the
-/// pair plus this party's own filter for it. Every CLK pair is
-/// non-trivial, so (unlike [`WalkedPair`]) the encoding is never absent.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WalkedClk {
-    /// Row in R.
-    pub ri: u32,
-    /// Row in S.
-    pub si: u32,
-    /// This party's side of the pair: Alice's filter of the R record, or
-    /// Bob's filter of the S record.
-    pub clk: pprl_bloom::Clk,
-    /// DP flips applied to that filter.
-    pub flips: u32,
 }
 
 /// The querying party's hook into a genuinely distributed deployment:
@@ -869,31 +854,29 @@ impl<'a> SmcRunner<'a> {
         Ok(Some((ri, si)))
     }
 
-    /// [`walk_next_pair`](Self::walk_next_pair) plus this party's own CLK
-    /// for the pair — Alice's side-A filter of the R record or Bob's
-    /// side-B filter of the S record — produced with the exact
-    /// canonicalization and per-`(side, row)` DP noise stream the
-    /// querier's local mirror uses, so a resumed holder re-encodes
-    /// byte-identical wire messages.
-    pub fn walk_next_clk(
-        &mut self,
-        params: &pprl_bloom::ClkParams,
-        side: u8,
-    ) -> Result<Option<WalkedClk>, SmcError> {
-        let Some((ri, si)) = self.walk_next_pair()? else {
-            return Ok(None);
-        };
-        let (data, row) = if side == pprl_bloom::SIDE_A {
-            (self.r_data, ri)
+    /// A data holder's own CLK for `row` of its side — Alice's side-A
+    /// filter of an R record or Bob's side-B filter of an S record, the
+    /// side being `bank`'s — with the exact canonicalization and
+    /// per-`(side, row)` DP noise stream the querier's local mirror uses.
+    /// The holder calls this only for pairs it still has to exchange, so
+    /// ordinals replayed from a journal advance the walk and never reach
+    /// the encoder; a resumed holder re-derives byte-identical wire
+    /// messages for the rest.
+    pub fn clk_lookup<'b>(
+        &self,
+        bank: &'b mut ClkBank,
+        row: u32,
+    ) -> Result<(pprl_bloom::ClkRef<'b>, u32), SmcError> {
+        let data = if bank.side() == pprl_bloom::SIDE_A {
+            self.r_data
         } else {
-            (self.s_data, si)
+            self.s_data
         };
         let rec = data
             .records()
             .get(row as usize)
             .ok_or(SmcError::Internal("record index out of range"))?;
-        let (clk, flips) = comparator::clk_encode_side(params, &self.qids, rec, side, row);
-        Ok(Some(WalkedClk { ri, si, clk, flips }))
+        bank.lookup(&self.qids, rec, row)
     }
 
     /// Advances bookkeeping-only phase transitions (leftover pushes, empty
@@ -1623,6 +1606,44 @@ mod tests {
             channel: None,
             deadline: DeadlineBudget::None,
         }
+    }
+
+    /// A resumed CLK holder replays the ordinals its journal already
+    /// holds by advancing the walk alone: rows that only those pairs
+    /// touch are never encoded.
+    #[test]
+    fn replayed_ordinals_never_reach_the_clk_encoder() {
+        let f = fixture(200);
+        let params = pprl_bloom::ClkParams::paper_defaults(42);
+        let mut step = step(SmcAllowance::Pairs(600));
+        step.mode = SmcMode::Bloom { params };
+        let mut runner = step
+            .start(&f.a, &f.b, &f.va, &f.vb, &f.unknown, &f.rule, f.total)
+            .unwrap();
+        let mut bank = ClkBank::new(params, pprl_bloom::SIDE_B);
+        let watermark = 450u64;
+        let mut ordinal = 0u64;
+        let mut replayed = std::collections::BTreeSet::new();
+        let mut live = std::collections::BTreeSet::new();
+        while let Some((_, si)) = runner.walk_next_pair().unwrap() {
+            ordinal += 1;
+            if ordinal <= watermark {
+                replayed.insert(si);
+                continue;
+            }
+            live.insert(si);
+            let (clk, _) = runner.clk_lookup(&mut bank, si).unwrap();
+            assert_eq!(clk.nbits(), params.filter_len);
+        }
+        assert_eq!(
+            ordinal, 600,
+            "the fixture leaves more than the budget undecided"
+        );
+        assert_eq!(bank.encoded_rows(), live.len());
+        assert!(
+            replayed.difference(&live).next().is_some(),
+            "the replayed prefix reaches rows the live tail does not"
+        );
     }
 
     #[test]

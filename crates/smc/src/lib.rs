@@ -29,6 +29,7 @@
 //! ```
 
 mod allowance;
+mod clk_bank;
 pub mod codec;
 pub mod comparator;
 mod deadline;
@@ -38,13 +39,14 @@ mod heuristics;
 mod strategy;
 
 pub use allowance::SmcAllowance;
+pub use clk_bank::ClkBank;
 pub use codec::{decode_session, encode_session};
-pub use comparator::{clk_encode_side, clk_record_fields, CompareCtx, Comparator, ComparatorStats};
+pub use comparator::{clk_record_fields, CompareCtx, Comparator, ComparatorStats};
 pub use deadline::DeadlineBudget;
 pub use executor::{
     AbandonReason, AbandonTally, ChannelConfig, CompareOutcome, DegradationReport, EncodedPair,
     ExaminedStats, LeftoverPair, PairDecision, PairEvent, RemoteParty, SessionPhase, SmcMode,
-    SmcReport, SmcRunner, SmcSession, SmcStep, WalkedClk, WalkedPair,
+    SmcReport, SmcRunner, SmcSession, SmcStep, WalkedPair,
 };
 pub use heuristics::{order_unknown, SelectionHeuristic};
 pub use strategy::{label_leftovers, LabelingStrategy};
