@@ -59,12 +59,13 @@ fn common_args(dir: &Path) -> Vec<String> {
     ]
 }
 
-/// The fault-free single-process reference report.
-fn reference_report(dir: &Path) -> String {
+/// The fault-free single-process reference report; `backend` is either
+/// the simulated channel switched off or a `--backend` override.
+fn reference_report(dir: &Path, backend: &[&str]) -> String {
     let out = Command::new(bin())
         .arg("run")
         .args(common_args(dir))
-        .args(["--fault-rate", "0"])
+        .args(backend)
         .output()
         .unwrap();
     assert!(
@@ -74,6 +75,15 @@ fn reference_report(dir: &Path) -> String {
     );
     String::from_utf8(out.stdout).unwrap()
 }
+
+/// `run` flags for the Paillier reference: the batched protocol over a
+/// fault-free simulated channel.
+const PAILLIER_REFERENCE: &[&str] = &["--fault-rate", "0"];
+
+/// Later flags win, so this turns [`common_args`] into the CLK job: same
+/// corpus, and an allowance large enough (1800 pairs) that a seeded drop
+/// lands inside the walk.
+const BLOOM: &[&str] = &["--backend", "bloom", "--allowance-pct", "50"];
 
 /// A spawned process with stderr drained on a thread (so the child never
 /// blocks on a full pipe) and scanned for announcement lines.
@@ -163,58 +173,71 @@ fn spawn_party(dir: &Path, role: &str, extra: &[String]) -> Proc {
 fn chaos_soak_keeps_the_report_byte_identical_across_every_fault_family() {
     let dir = work_dir("soak");
     synth(&dir, 60, 7);
-    let reference = reference_report(&dir);
+    let paillier_reference = reference_report(&dir, PAILLIER_REFERENCE);
+    let bloom_reference = reference_report(&dir, BLOOM);
+
+    // (backend override, fault family, proxy seed, holder send window).
+    // Seed 1 soaks window 1; seed 2 reruns the same family with a 32-pair
+    // send window on the holders — pipelining must be just as
+    // chaos-proof, to the byte. The CLK exchange rides the same holder
+    // loop; one windowed row holds its smaller frames to the same bar.
+    let mut cases: Vec<(&[&str], &str, u64, &[&str])> = Vec::new();
+    for family in ChaosConfig::FAMILIES {
+        cases.push((&[], family, 1, &[]));
+        cases.push((&[], family, 2, &["--window", "32"]));
+    }
+    cases.push((BLOOM, "drop", 2, &["--window", "32"]));
 
     let mut injected = 0u64;
-    for family in ChaosConfig::FAMILIES {
-        for seed in [1u64, 2] {
-            // Seed 1 soaks the classic lockstep protocol; seed 2 reruns
-            // the same family with a 32-pair send window on the holders —
-            // pipelining must be just as chaos-proof, to the byte.
-            let window: &[String] = if seed == 1 {
-                &[]
-            } else {
-                &["--window".to_string(), "32".to_string()]
-            };
-            eprintln!("chaos soak: family={family} seed={seed} window={:?}", window);
-            // The querier binds fresh per run; the proxy fronts it for Bob.
-            let mut query = spawn_party(&dir, "query", &[]);
-            let qaddr: std::net::SocketAddr = query.listen_addr().parse().unwrap();
-            let cfg = ChaosConfig::fault_family(family, seed).unwrap();
-            let proxy = ChaosProxy::start("127.0.0.1:0", qaddr, cfg).unwrap();
+    for (backend, family, seed, window) in cases {
+        eprintln!("chaos soak: {backend:?} family={family} seed={seed} window={window:?}");
+        let reference = if backend.is_empty() {
+            &paillier_reference
+        } else {
+            &bloom_reference
+        };
+        let party_args = |head: &[String], tail: &[&str]| -> Vec<String> {
+            let flags = backend.iter().chain(tail).map(|s| s.to_string());
+            head.iter().cloned().chain(flags).collect()
+        };
+        // The querier binds fresh per run; the proxy fronts it for Bob.
+        let mut query = spawn_party(&dir, "query", &party_args(&[], &[]));
+        let qaddr: std::net::SocketAddr = query.listen_addr().parse().unwrap();
+        let cfg = ChaosConfig::fault_family(family, seed).unwrap();
+        let proxy = ChaosProxy::start("127.0.0.1:0", qaddr, cfg).unwrap();
 
-            let mut alice_args = vec!["--connect-querier".to_string(), qaddr.to_string()];
-            alice_args.extend(window.iter().cloned());
-            let mut alice = spawn_party(&dir, "alice", &alice_args);
-            let aaddr = alice.listen_addr();
-            let mut bob_args = vec![
-                "--connect-querier".to_string(),
-                proxy.local_addr().to_string(),
-                "--connect-alice".to_string(),
-                aaddr,
-            ];
-            bob_args.extend(window.iter().cloned());
-            let bob = spawn_party(&dir, "bob", &bob_args);
-            let (report, _) = query.finish();
-            alice.finish();
-            bob.finish();
+        let mut alice = spawn_party(
+            &dir,
+            "alice",
+            &party_args(&["--connect-querier".to_string(), qaddr.to_string()], window),
+        );
+        let aaddr = alice.listen_addr();
+        let bob_args = [
+            "--connect-querier".to_string(),
+            proxy.local_addr().to_string(),
+            "--connect-alice".to_string(),
+            aaddr,
+        ];
+        let bob = spawn_party(&dir, "bob", &party_args(&bob_args, window));
+        let (report, _) = query.finish();
+        alice.finish();
+        bob.finish();
 
-            let stats = proxy.stats();
-            assert!(
-                stats.relayed_bytes > 0,
-                "family {family} seed {seed}: the session never crossed the proxy"
-            );
-            injected += stats.dropped_chunks
-                + stats.duplicated_chunks
-                + stats.corrupted_chunks
-                + stats.resets
-                + stats.partitions;
-            assert_eq!(
-                report, reference,
-                "family {family} seed {seed}: the report drifted under chaos \
-                 (proxy census: {stats})"
-            );
-        }
+        let stats = proxy.stats();
+        assert!(
+            stats.relayed_bytes > 0,
+            "{backend:?} family {family} seed {seed}: the session never crossed the proxy"
+        );
+        injected += stats.dropped_chunks
+            + stats.duplicated_chunks
+            + stats.corrupted_chunks
+            + stats.resets
+            + stats.partitions;
+        assert_eq!(
+            &report, reference,
+            "{backend:?} family {family} seed {seed}: the report drifted under chaos \
+             (proxy census: {stats})"
+        );
     }
     // The soak must have been a soak: across all fault families and seeds
     // the proxy injected real faults, and not one reached the report.
@@ -227,7 +250,7 @@ fn chaos_soak_keeps_the_report_byte_identical_across_every_fault_family() {
 fn chaosproxy_subcommand_relays_a_session_and_drains_on_sigterm() {
     let dir = work_dir("subcommand");
     synth(&dir, 60, 7);
-    let reference = reference_report(&dir);
+    let reference = reference_report(&dir, PAILLIER_REFERENCE);
 
     let mut query = spawn_party(&dir, "query", &[]);
     let qaddr = query.listen_addr();
@@ -291,7 +314,7 @@ fn hostile_peers_cannot_stall_or_corrupt_a_serving_daemon() {
         std::fs::create_dir_all(job_dir).unwrap();
         synth(job_dir, 60, seed);
     }
-    let reference = reference_report(&j1);
+    let reference = reference_report(&j1, PAILLIER_REFERENCE);
 
     let mut args = vec![
         "party".to_string(),

@@ -1,7 +1,7 @@
 //! Windowed-pipelining acceptance: the send window is a pure deployment
 //! knob.
 //!
-//! Three angles:
+//! Four angles, the first two once per wire backend:
 //!
 //! 1. **Crash mid-window under chaos** — a three-process session at
 //!    `--window 32` with a seeded drop-fault proxy on the Bob↔querier
@@ -13,12 +13,17 @@
 //!    byte-identical holder journals.
 //! 3. **Property-based unobservability** — in-process three-party
 //!    sessions at proptest-sampled window sizes always reproduce the
-//!    lockstep baseline's match digest, protocol ledger, and journal
-//!    bytes.
+//!    window-1 baseline's match digest, protocol ledger, and both
+//!    holders' journal bytes.
+//! 4. **Holder journals pinned across revisions** — Alice's and Bob's
+//!    journal bytes at windows 1, 8 and 32 hash to digests taken from the
+//!    revision that still had one holder loop per backend, role and
+//!    window shape.
 
 #![cfg(unix)]
 
 use pprl_core::{HybridLinkage, LinkageConfig, PartyOptions, PartyOutcome, Role};
+use pprl_journal::fnv1a64;
 use pprl_net::{ChaosConfig, ChaosProxy};
 use pprl_smc::{SmcAllowance, SmcMode};
 use std::io::{BufRead, BufReader};
@@ -48,28 +53,50 @@ fn synth(dir: &Path) {
     assert!(status.success(), "synth failed");
 }
 
+/// One wire backend of the three-process matrix: the flags every party
+/// passes, and what the single-process reference run adds to them. A CLK
+/// pair costs microseconds where a Paillier pair costs milliseconds, so
+/// the bloom job takes a larger allowance: its walk has to outlast the
+/// poll that times the mid-window kill.
+struct Backend {
+    name: &'static str,
+    args: &'static [&'static str],
+    reference_args: &'static [&'static str],
+}
+
+const BACKENDS: [Backend; 2] = [
+    Backend {
+        name: "paillier",
+        args: &["--allowance-pct", "2.0", "--paillier", "256"],
+        reference_args: &["--fault-rate", "0"],
+    },
+    Backend {
+        name: "bloom",
+        args: &["--allowance-pct", "50", "--backend", "bloom"],
+        reference_args: &[],
+    },
+];
+
 /// The shared RUN OPTIONS every process (and the reference) uses.
-fn common_args(dir: &Path) -> Vec<String> {
-    vec![
+fn common_args(dir: &Path, backend: &Backend) -> Vec<String> {
+    let mut args: Vec<String> = vec![
         "--left".into(),
         dir.join("d1.csv").display().to_string(),
         "--right".into(),
         dir.join("d2.csv").display().to_string(),
-        "--allowance-pct".into(),
-        "2.0".into(),
-        "--paillier".into(),
-        "256".into(),
         "--threads".into(),
         "1".into(),
-    ]
+    ];
+    args.extend(backend.args.iter().map(|s| s.to_string()));
+    args
 }
 
 /// The fault-free single-process reference report.
-fn reference_report(dir: &Path) -> String {
+fn reference_report(dir: &Path, backend: &Backend) -> String {
     let out = Command::new(bin())
         .arg("run")
-        .args(common_args(dir))
-        .args(["--fault-rate", "0"])
+        .args(common_args(dir, backend))
+        .args(backend.reference_args)
         .output()
         .unwrap();
     assert!(
@@ -86,11 +113,11 @@ struct Party {
     stderr: std::sync::mpsc::Receiver<String>,
 }
 
-fn spawn_party(dir: &Path, role: &str, extra: &[String]) -> Party {
+fn spawn_party(dir: &Path, backend: &Backend, role: &str, extra: &[String]) -> Party {
     let mut child = Command::new(bin())
         .arg("party")
         .args(["--role", role])
-        .args(common_args(dir))
+        .args(common_args(dir, backend))
         .args(extra)
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -146,9 +173,15 @@ impl Party {
 /// journal: the querier's report never changes by a byte.
 #[test]
 fn sigkill_mid_window_with_chaos_resumes_byte_identical() {
-    let dir = work_dir("sigkill");
+    for backend in &BACKENDS {
+        sigkill_mid_window(backend);
+    }
+}
+
+fn sigkill_mid_window(backend: &Backend) {
+    let dir = work_dir(&format!("sigkill-{}", backend.name));
     synth(&dir);
-    let reference = reference_report(&dir);
+    let reference = reference_report(&dir, backend);
     let journal = dir.join("bob.pprlj");
     let window_args = |extra: &[&str]| -> Vec<String> {
         let mut v: Vec<String> = vec!["--window".into(), "32".into()];
@@ -156,15 +189,21 @@ fn sigkill_mid_window_with_chaos_resumes_byte_identical() {
         v
     };
 
-    let mut query = spawn_party(&dir, "query", &[]);
+    let mut query = spawn_party(&dir, backend, "query", &[]);
     let qaddr: SocketAddr = query.listen_addr().parse().unwrap();
     // Seeded drop faults on the Bob↔querier leg: retransmits and
-    // reconnects land *inside* an occupied 32-pair window.
-    let cfg = ChaosConfig::fault_family("drop", 1).unwrap();
+    // reconnects land *inside* an occupied 32-pair window. The leg is
+    // paced too, so each window costs a few milliseconds of round trip: a
+    // CLK walk on raw loopback can finish inside one poll of the kill
+    // loop below.
+    let mut cfg = ChaosConfig::fault_family("drop", 1).unwrap();
+    cfg.delay_ms = 4;
+    cfg.jitter_ms = 4;
     let proxy = ChaosProxy::start("127.0.0.1:0", qaddr, cfg).unwrap();
 
     let mut alice = spawn_party(
         &dir,
+        backend,
         "alice",
         &window_args(&["--connect-querier", &qaddr.to_string()]),
     );
@@ -177,7 +216,7 @@ fn sigkill_mid_window_with_chaos_resumes_byte_identical() {
         "--journal",
         &journal.display().to_string(),
     ]);
-    let mut bob = spawn_party(&dir, "bob", &bob_args);
+    let mut bob = spawn_party(&dir, backend, "bob", &bob_args);
 
     // Kill Bob once his journal shows real committed pair progress. The
     // budget is generous because debug-profile Paillier keygen alone can
@@ -198,30 +237,38 @@ fn sigkill_mid_window_with_chaos_resumes_byte_identical() {
     // Resume him through the same chaos proxy.
     let mut resume_args = bob_args;
     resume_args.push("--resume".to_string());
-    let bob2 = spawn_party(&dir, "bob", &resume_args);
+    let bob2 = spawn_party(&dir, backend, "bob", &resume_args);
 
     let report = query.finish();
     alice.finish();
     bob2.finish();
     assert!(
         proxy.stats().dropped_chunks > 0,
-        "the chaos leg never dropped anything; the soak was not a soak"
+        "{}: the chaos leg never dropped anything; the soak was not a soak",
+        backend.name
     );
     assert_eq!(
         report, reference,
-        "SIGKILL at window 32 under drop faults must not change the report"
+        "{}: SIGKILL at window 32 under drop faults must not change the report",
+        backend.name
     );
 }
 
 /// Runs one full three-process session with Bob journaled at the given
 /// window; returns `(querier report, bob journal bytes)`.
-fn run_session_at_window(dir: &Path, window: usize, tag: &str) -> (String, Vec<u8>) {
+fn run_session_at_window(
+    dir: &Path,
+    backend: &Backend,
+    window: usize,
+    tag: &str,
+) -> (String, Vec<u8>) {
     let journal = dir.join(format!("bob-{tag}.pprlj"));
     let w = window.to_string();
-    let mut query = spawn_party(dir, "query", &[]);
+    let mut query = spawn_party(dir, backend, "query", &[]);
     let qaddr = query.listen_addr();
     let mut alice = spawn_party(
         dir,
+        backend,
         "alice",
         &[
             "--connect-querier".into(),
@@ -233,6 +280,7 @@ fn run_session_at_window(dir: &Path, window: usize, tag: &str) -> (String, Vec<u
     let aaddr = alice.listen_addr();
     let bob = spawn_party(
         dir,
+        backend,
         "bob",
         &[
             "--connect-querier".into(),
@@ -252,28 +300,47 @@ fn run_session_at_window(dir: &Path, window: usize, tag: &str) -> (String, Vec<u
     (report, std::fs::read(&journal).unwrap())
 }
 
-/// Lockstep and window-32 sessions must be indistinguishable in both the
+/// Window-1 and window-32 sessions must be indistinguishable in both the
 /// querier's report and the holder's journal bytes.
 #[test]
 fn window_size_is_unobservable_in_report_and_journal_bytes() {
-    let dir = work_dir("unobservable");
-    synth(&dir);
-    let reference = reference_report(&dir);
+    for backend in &BACKENDS {
+        let name = backend.name;
+        let dir = work_dir(&format!("unobservable-{name}"));
+        synth(&dir);
+        let reference = reference_report(&dir, backend);
 
-    let (report_w1, journal_w1) = run_session_at_window(&dir, 1, "w1");
-    let (report_w32, journal_w32) = run_session_at_window(&dir, 32, "w32");
-    assert_eq!(report_w1, reference, "lockstep drifted from single-process");
-    assert_eq!(report_w32, reference, "window 32 drifted from single-process");
-    assert_eq!(
-        journal_w1, journal_w32,
-        "the holder journal must be byte-identical at any window"
-    );
+        let (report_w1, journal_w1) = run_session_at_window(&dir, backend, 1, "w1");
+        let (report_w32, journal_w32) = run_session_at_window(&dir, backend, 32, "w32");
+        assert_eq!(report_w1, reference, "{name}: window 1 drifted from single-process");
+        assert_eq!(report_w32, reference, "{name}: window 32 drifted from single-process");
+        assert_eq!(
+            journal_w1, journal_w32,
+            "{name}: the holder journal must be byte-identical at any window"
+        );
+    }
 }
 
+/// What one in-process session leaves behind: the querier's match set and
+/// protocol ledger, and both holders' journal bytes.
+#[derive(Debug, PartialEq, Eq)]
+struct SessionBytes {
+    matched: Vec<(u32, u32)>,
+    ledger_messages: u64,
+    ledger_bytes: u64,
+    alice_journal: Vec<u8>,
+    bob_journal: Vec<u8>,
+}
+
+const PAILLIER_SCALAR: SmcMode = SmcMode::PaillierBatched {
+    modulus_bits: 256,
+    seed: 42,
+    pack: false,
+};
+
 /// One in-process three-party session (threads over loopback TCP) at the
-/// given window, Bob journaled. Returns the querier outcome digest inputs
-/// and Bob's journal bytes.
-fn in_process_session(window: usize, journal: &Path) -> (Vec<(u32, u32)>, u64, u64, Vec<u8>) {
+/// given window, both holders journaled (no fsync) under `dir`.
+fn in_process_session(mode: SmcMode, window: usize, dir: &Path) -> SessionBytes {
     let scenario = pprl_core::SyntheticScenario::builder()
         .records_per_set(40)
         .seed(7)
@@ -281,11 +348,7 @@ fn in_process_session(window: usize, journal: &Path) -> (Vec<(u32, u32)>, u64, u
     let (d1, d2) = scenario.data_sets();
     let mut config = LinkageConfig::paper_defaults()
         .with_allowance(SmcAllowance::Fraction(0.02));
-    config.mode = SmcMode::PaillierBatched {
-        modulus_bits: 256,
-        seed: 42,
-        pack: false,
-    };
+    config.mode = mode;
     config.channel = None;
 
     let reserve = || {
@@ -295,8 +358,8 @@ fn in_process_session(window: usize, journal: &Path) -> (Vec<(u32, u32)>, u64, u
     };
     let q_addr = reserve();
     let a_addr = reserve();
-    let journal = journal.to_path_buf();
-    let bob_journal = journal.clone();
+    let alice_journal = dir.join("alice.pprlj");
+    let bob_journal = dir.join("bob.pprlj");
     let spawn = |role: Role, f: Box<dyn FnOnce(&mut PartyOptions) + Send>| {
         let config = config.clone();
         let (d1, d2) = (d1.clone(), d2.clone());
@@ -313,44 +376,48 @@ fn in_process_session(window: usize, journal: &Path) -> (Vec<(u32, u32)>, u64, u
         Role::Query,
         Box::new(move |p| p.listen = Some(q_addr.to_string())),
     );
+    let journal = alice_journal.clone();
     let alice = spawn(
         Role::Alice,
         Box::new(move |p| {
             p.listen = Some(a_addr.to_string());
             p.querier_addr = Some(q_addr);
+            p.journal = Some(journal);
         }),
     );
+    let journal = bob_journal.clone();
     let bob = spawn(
         Role::Bob,
         Box::new(move |p| {
             p.querier_addr = Some(q_addr);
             p.alice_addr = Some(a_addr);
-            p.journal = Some(bob_journal);
+            p.journal = Some(journal);
         }),
     );
     let q_out = query.join().expect("querier thread");
-    alice.join().expect("alice thread");
+    let a_out = alice.join().expect("alice thread");
     let b_out = bob.join().expect("bob thread");
-    assert!(b_out.outcome.is_none(), "holders never learn decisions");
+    assert!(
+        a_out.outcome.is_none() && b_out.outcome.is_none(),
+        "holders never learn decisions"
+    );
 
     let outcome = q_out.outcome.expect("querier outcome");
     let mut matched: Vec<(u32, u32)> = outcome.matched_rows().collect();
     matched.sort_unstable();
-    (
+    SessionBytes {
         matched,
-        outcome.ledger.messages,
-        outcome.ledger.bytes,
-        std::fs::read(&journal).expect("bob journal"),
-    )
+        ledger_messages: outcome.ledger.messages,
+        ledger_bytes: outcome.ledger.bytes,
+        alice_journal: std::fs::read(&alice_journal).expect("alice journal"),
+        bob_journal: std::fs::read(&bob_journal).expect("bob journal"),
+    }
 }
 
-/// The lockstep baseline, computed once and shared by every proptest case.
-fn lockstep_baseline() -> &'static (Vec<(u32, u32)>, u64, u64, Vec<u8>) {
-    static BASELINE: OnceLock<(Vec<(u32, u32)>, u64, u64, Vec<u8>)> = OnceLock::new();
-    BASELINE.get_or_init(|| {
-        let dir = work_dir("prop-baseline");
-        in_process_session(1, &dir.join("bob.pprlj"))
-    })
+/// The window-1 baseline, computed once and shared by every proptest case.
+fn window_one_baseline() -> &'static SessionBytes {
+    static BASELINE: OnceLock<SessionBytes> = OnceLock::new();
+    BASELINE.get_or_init(|| in_process_session(PAILLIER_SCALAR, 1, &work_dir("prop-baseline")))
 }
 
 proptest::proptest! {
@@ -359,16 +426,61 @@ proptest::proptest! {
         .. proptest::prelude::ProptestConfig::default()
     })]
 
-    /// Any sampled window size reproduces the lockstep baseline exactly:
+    /// Any sampled window size reproduces the window-1 baseline exactly:
     /// same match set, same protocol ledger, same journal bytes.
     #[test]
     fn any_window_size_reproduces_the_lockstep_session(window in 2usize..48) {
-        let baseline = lockstep_baseline();
-        let dir = work_dir(&format!("prop-w{window}"));
-        let got = in_process_session(window, &dir.join("bob.pprlj"));
-        proptest::prop_assert_eq!(&got.0, &baseline.0, "match set drifted");
-        proptest::prop_assert_eq!(got.1, baseline.1, "ledger messages drifted");
-        proptest::prop_assert_eq!(got.2, baseline.2, "ledger bytes drifted");
-        proptest::prop_assert_eq!(&got.3, &baseline.3, "journal bytes drifted");
+        let got = in_process_session(PAILLIER_SCALAR, window, &work_dir(&format!("prop-w{window}")));
+        proptest::prop_assert_eq!(&got, window_one_baseline());
+    }
+}
+
+/// Holder-journal pins: `(name, mode, Alice's journal FNV-1a-64, Bob's)`,
+/// taken from commit 915f542 — the last revision with separate lockstep,
+/// windowed-Alice and windowed-Bob loops per backend — on the same
+/// offline-stub build the `backend_parity.rs` pins come from.
+fn holder_journal_pins() -> [(&'static str, SmcMode, u64, u64); 2] {
+    [
+        (
+            "paillier-packed",
+            SmcMode::PaillierBatched {
+                modulus_bits: 256,
+                seed: 42,
+                pack: true,
+            },
+            0x522e3d8b6dcde7d9,
+            0x4bebb32cee17d09d,
+        ),
+        (
+            "bloom",
+            SmcMode::Bloom {
+                params: pprl_bloom::ClkParams::paper_defaults(42),
+            },
+            0x2278ee45ec5a2854,
+            0xbd9741054df219fe,
+        ),
+    ]
+}
+
+/// Both holders' journals are the same bytes at windows 1, 8 and 32, and
+/// the same bytes the previous revision wrote.
+#[test]
+fn holder_journals_match_the_pinned_digests_at_every_window() {
+    for (name, mode, alice_fnv, bob_fnv) in holder_journal_pins() {
+        let run = |window: usize| {
+            in_process_session(mode, window, &work_dir(&format!("pin-{name}-w{window}")))
+        };
+        let at_one = run(1);
+        for window in [8, 32] {
+            assert_eq!(run(window), at_one, "{name}: window {window} differs from window 1");
+        }
+        let (alice, bob) = (fnv1a64(&at_one.alice_journal), fnv1a64(&at_one.bob_journal));
+        assert!(
+            (alice, bob) == (alice_fnv, bob_fnv),
+            "{name}: holder journals drifted from the pinned revision: \
+             alice {alice:#018x} ({} bytes), bob {bob:#018x} ({} bytes)",
+            at_one.alice_journal.len(),
+            at_one.bob_journal.len()
+        );
     }
 }

@@ -40,22 +40,23 @@ use crate::pipeline::{check_schemas, StagedArtifacts};
 use crate::{HybridLinkage, LinkageError, LinkageOutcome};
 use pprl_anon::Anonymizer;
 use pprl_blocking::BlockingEngine;
-use pprl_crypto::paillier::PublicKey;
-use pprl_crypto::protocol::message::ProtocolMessage;
 use pprl_crypto::protocol::transport::ENVELOPE_OVERHEAD;
-use pprl_crypto::protocol::{alice_record_message, bob_record_message};
 use pprl_crypto::CostLedger;
 use pprl_data::DataSet;
 use pprl_journal::{Frame, JournalWriter};
-use pprl_net::{Backend, Hello, NetError, NetStats, PeerChannel, ReconnectPolicy, Role, SessionMux};
-use pprl_smc::{DeadlineBudget, PairEvent, RemoteParty, SmcError, SmcMode};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use pprl_net::{
+    Backend, Hello, IncomingData, NetError, NetStats, PeerChannel, ReconnectPolicy, Role,
+    SessionMux,
+};
+use pprl_smc::{
+    DeadlineBudget, HolderBackend, HolderSide, PairDecision, PairEvent, RemoteParty, SmcError,
+    SmcMode, SmcRunner,
+};
 use std::collections::VecDeque;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Frame kind: the public-key broadcast committed — ledger delta (96
 /// bytes) followed by the raw key message (empty on the querier, which
@@ -108,12 +109,13 @@ pub struct PartyOptions {
     pub silence: Option<Duration>,
     /// Send window: how many record pairs a data holder keeps in flight
     /// to its downstream peer before blocking on the journal-gated ack.
-    /// `1` (the default) is the classic lockstep protocol — one pair per
-    /// round trip, byte-identical to earlier revisions. Larger windows
+    /// `1` (the default) is the smallest window, not a separate path: one
+    /// pair per round trip, the classic lockstep protocol. Larger windows
     /// pipeline the pair stream so throughput stops scaling with RTT; the
-    /// commit/journal ordering is unchanged (acks release oldest-first),
-    /// so reports and ledgers are byte-identical at any window. A pure
-    /// deployment knob: never fingerprinted, may differ per party.
+    /// commit/journal ordering is the same at every size (acks release
+    /// oldest-first), so reports, ledgers and journals are byte-identical
+    /// at any window. A pure deployment knob: never fingerprinted, may
+    /// differ per party.
     pub window: usize,
 }
 
@@ -155,37 +157,11 @@ pub struct PartyOutcome {
     pub live_pairs: u64,
 }
 
-/// The fingerprinted comparator backend, resolved for networked
-/// deployment: which wire protocol the three processes run, plus the
-/// backend-specific knobs each party needs locally.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum WireMode {
-    /// Batched Paillier (§V-A): the shared key-derivation seed and
-    /// whether Bob's replies are slot-packed.
-    Paillier {
-        /// Keypair/encryption-randomness derivation seed.
-        seed: u64,
-        /// Slot-packed replies (fingerprinted; all parties agree).
-        pack: bool,
-    },
-    /// q-gram CLK exchange ([`pprl_bloom`]) with these parameters.
-    Bloom(pprl_bloom::ClkParams),
-}
-
-impl WireMode {
-    /// The backend byte every channel announces in its [`Hello`]; a
-    /// peer launched with a different `--backend` is refused with a
-    /// typed [`NetError::BackendMismatch`] before any payload moves.
-    pub(crate) fn backend(&self) -> Backend {
-        match self {
-            WireMode::Paillier { .. } => Backend::Paillier,
-            WireMode::Bloom(_) => Backend::Bloom,
-        }
-    }
-}
-
 /// Validates the pipeline configuration for networked deployment and
-/// resolves its [`WireMode`].
+/// resolves the wire protocol's [`Backend`] — the byte every channel
+/// announces in its [`Hello`], so a peer launched with a different
+/// `--backend` is refused with a typed [`NetError::BackendMismatch`]
+/// before any payload moves.
 ///
 /// A wall-clock [`DeadlineBudget`] *is* allowed (unlike earlier
 /// revisions): only the querier's clock is consulted, and once it expires
@@ -193,11 +169,11 @@ impl WireMode {
 /// oblivious holders — acking their stragglers off-ledger so they finish
 /// their deterministic walks and ship their ledgers home (see
 /// [`PeerChannel::drain_stragglers`]). One clock decides; nobody drifts.
-pub(crate) fn wire_mode(pipeline: &HybridLinkage) -> Result<WireMode, LinkageError> {
+pub(crate) fn wire_backend(pipeline: &HybridLinkage) -> Result<Backend, LinkageError> {
     let cfg = pipeline.config();
-    let mode = match cfg.mode {
-        SmcMode::PaillierBatched { seed, pack, .. } => WireMode::Paillier { seed, pack },
-        SmcMode::Bloom { params } => WireMode::Bloom(params),
+    let backend = match cfg.mode {
+        SmcMode::PaillierBatched { .. } => Backend::Paillier,
+        SmcMode::Bloom { .. } => Backend::Bloom,
         _ => {
             return Err(LinkageError::Net(
                 "party mode requires a networked backend: batched Paillier or bloom".into(),
@@ -209,7 +185,7 @@ pub(crate) fn wire_mode(pipeline: &HybridLinkage) -> Result<WireMode, LinkageErr
             "party mode uses a real network; drop the simulated channel".into(),
         ));
     }
-    Ok(mode)
+    Ok(backend)
 }
 
 /// Opens (or resumes) a per-party journal; the hello must announce the
@@ -242,18 +218,18 @@ pub fn run_party(
 ) -> Result<PartyOutcome, LinkageError> {
     match opts.role {
         Role::Query => {
-            let wire = wire_mode(pipeline)?;
+            let wire = wire_backend(pipeline)?;
             let listen = opts.listen.as_deref().unwrap_or("127.0.0.1:0");
             let mux =
                 Arc::new(SessionMux::bind(listen, Some(opts.timeout)).map_err(net_err)?);
-            mux.set_identity(Role::Query, wire.backend());
+            mux.set_identity(Role::Query, wire);
             announce(&mux, Role::Query);
             let (mut outcome, _writer) = querier_job(pipeline, r, s, opts, mux.clone(), None)?;
             outcome.net.merge(&mux.stats());
             Ok(outcome)
         }
         Role::Alice | Role::Bob => {
-            let wire = wire_mode(pipeline)?;
+            let wire = wire_backend(pipeline)?;
             let cfg = pipeline.config();
             check_schemas(r, s)?;
             let rule = cfg.rule(r.schema());
@@ -281,7 +257,7 @@ pub fn run_party(
                 blocking.total_pairs,
             )?;
             let (ledger, stats, replayed, live) =
-                run_holder(runner, &session, opts, progress, writer)?;
+                run_holder(runner, cfg.mode, &session, opts, progress, writer)?;
             Ok(PartyOutcome {
                 outcome: None,
                 ledger,
@@ -310,7 +286,7 @@ pub(crate) fn querier_job(
     mux: Arc<SessionMux>,
     warm: Option<&pprl_crypto::Keypair>,
 ) -> Result<(PartyOutcome, Option<JournalWriter>), LinkageError> {
-    let wire = wire_mode(pipeline)?;
+    let wire = wire_backend(pipeline)?;
     let cfg = pipeline.config();
     check_schemas(r, s)?;
     let rule = cfg.rule(r.schema());
@@ -347,7 +323,7 @@ pub(crate) fn querier_job(
 /// Connection parameters shared by every channel this party opens.
 struct Session {
     fp: u64,
-    wire: WireMode,
+    wire: Backend,
     timeout: Option<Duration>,
     policy: ReconnectPolicy,
     /// Whether a dark peer fails the session (daemon silence watchdog)
@@ -356,7 +332,7 @@ struct Session {
 }
 
 impl Session {
-    fn new(fp: u64, wire: WireMode, opts: &PartyOptions) -> Self {
+    fn new(fp: u64, wire: Backend, opts: &PartyOptions) -> Self {
         Session {
             fp,
             wire,
@@ -375,7 +351,7 @@ impl Session {
     }
 
     fn hello(&self, role: Role, progress: &PartyProgress) -> Hello {
-        let mut hello = Hello::new(role, self.wire.backend(), self.fp);
+        let mut hello = Hello::new(role, self.wire, self.fp);
         hello.watermark = progress.watermark();
         hello.have_key = progress.key.is_some();
         hello
@@ -503,7 +479,7 @@ struct QuerierNet {
     /// Daemon silence watchdog: a dark peer fails the job (so the serve
     /// supervisor requeues it) instead of degrading the pair.
     fail_on_silence: bool,
-    pending: Option<pprl_net::IncomingData>,
+    pending: Option<IncomingData>,
 }
 
 impl QuerierNet {
@@ -679,7 +655,7 @@ fn run_querier(
     // has no session-setup message, so its journal holds pair frames
     // only — a resumed bloom job must replay to the same bytes a clean
     // run writes.
-    if progress.key.is_none() && matches!(session.wire, WireMode::Paillier { .. }) {
+    if progress.key.is_none() && session.wire == Backend::Paillier {
         let delta = delta_of(runner.ledger(), &before_key)?;
         append(&mut writer, K_PARTY_KEY, &delta.encode())?;
         // The broadcast is on the wire; a crash before this frame is
@@ -695,7 +671,7 @@ fn run_querier(
     // mid-pipeline holders only re-dial when their own next operation
     // touches this link (claiming eagerly here would deadlock on Alice,
     // whose next querier operation is the end-of-run ledger send).
-    if matches!(session.wire, WireMode::Bloom(_)) && progress.pairs.is_empty() {
+    if session.wire == Backend::Bloom && progress.pairs.is_empty() {
         let mut guard = net
             .lock()
             .map_err(|_| LinkageError::Net("querier net state poisoned".into()))?;
@@ -748,8 +724,12 @@ fn run_querier(
         guard.alice.drain_stragglers();
         guard.bob.drain_stragglers();
     }
-    let alice_ledger = guard.alice.recv_ledger().map_err(net_err)?;
+    // Bob first: he cannot finish until every pair he sent is acked, and a
+    // lost ack only heals when this side reads his retransmission and
+    // re-acks it — which the ledger wait on his channel does. Alice's last
+    // acks wait on Bob's, so waiting on her first would starve all three.
     let bob_ledger = guard.bob.recv_ledger().map_err(net_err)?;
+    let alice_ledger = guard.alice.recv_ledger().map_err(net_err)?;
     let mut stats = guard.alice.stats;
     stats.merge(&guard.bob.stats);
     drop(guard);
@@ -765,35 +745,178 @@ fn run_querier(
 // Data holders
 // ---------------------------------------------------------------------------
 
+/// One produced-but-uncommitted pair: everything the commit needs once
+/// the downstream ack releases it.
+struct PendingCommit {
+    ordinal: u64,
+    event: PairEvent,
+    delta: CostLedger,
+    /// Bob only: Alice's accepted envelope, whose ack this commit releases.
+    incoming: Option<IncomingData>,
+}
+
+/// A holder's two pair-stream links and what rides between them: the
+/// pairs submitted downstream that no ack has released yet.
+struct HolderLinks<'c> {
+    /// Where this holder's messages go: Bob for Alice, the querier for Bob.
+    down: &'c mut PeerChannel,
+    /// Where Bob's inputs come from (Alice); `None` on Alice, who opens
+    /// each exchange.
+    up: Option<&'c mut PeerChannel>,
+    pending: VecDeque<PendingCommit>,
+    writer: &'c mut Option<JournalWriter>,
+}
+
+impl HolderLinks<'_> {
+    /// Journals every pair the downstream ack released, oldest-first, and
+    /// *then* releases the upstream ack buffered with it — the two-phase
+    /// [`PeerChannel::commit_ack`] ordering. The released ids are exactly
+    /// the submit-order prefix, so the journal and the resume watermark
+    /// stay contiguous at any window.
+    fn commit_acked(&mut self) -> Result<(), LinkageError> {
+        for id in self.down.take_acked_prefix() {
+            let Some(commit) = self.pending.pop_front() else {
+                return Err(LinkageError::Net(format!(
+                    "pair {id} acked with nothing pending commit"
+                )));
+            };
+            if commit.ordinal != id {
+                return Err(LinkageError::Net(format!(
+                    "ack release order diverged: got pair {id}, expected {}",
+                    commit.ordinal
+                )));
+            }
+            append(
+                self.writer,
+                K_PARTY_PAIR,
+                &encode_pair_frame(commit.ordinal, &commit.event, &commit.delta),
+            )?;
+            if let (Some(up), Some(incoming)) = (self.up.as_deref_mut(), &commit.incoming) {
+                up.commit_ack(incoming);
+            }
+        }
+        Ok(())
+    }
+
+    /// Bob's wait for Alice's message for pair `ordinal` (`None` on Alice,
+    /// who has nothing to wait for).
+    ///
+    /// The wait runs in slices, probing the downstream leg between them.
+    /// A quiet Alice can mean *our* downstream died: she halts at her own
+    /// window cap until Bob's acks flow, and those acks wait on the
+    /// querier's — so a dead querier connection must be retransmitted and
+    /// reconnected here, below the window cap, or all three parties
+    /// deadlock (the blocking pump only escalates once occupancy exceeds
+    /// the cap, which a stalled Alice can never push it past). With
+    /// nothing in flight the probe is a no-op and this is a plain
+    /// blocking receive.
+    fn recv_upstream(
+        &mut self,
+        ordinal: u64,
+        deadline: Duration,
+    ) -> Result<Option<IncomingData>, LinkageError> {
+        let wait = Instant::now();
+        let incoming = loop {
+            let Some(up) = self.up.as_deref_mut() else {
+                return Ok(None);
+            };
+            if let Some(incoming) = up.try_recv_data().map_err(net_err)? {
+                break incoming;
+            }
+            self.down.probe_window().map_err(net_err)?;
+            self.commit_acked()?;
+            if wait.elapsed() >= deadline {
+                return Err(net_err(NetError::PeerGone(format!(
+                    "no data from alice within {deadline:?}"
+                ))));
+            }
+        };
+        if incoming.pair_id != ordinal {
+            return Err(LinkageError::Net(format!(
+                "Alice sent pair {} while Bob expected {ordinal}: \
+                 the deterministic walks diverged",
+                incoming.pair_id
+            )));
+        }
+        Ok(Some(incoming))
+    }
+}
+
+/// Takes the key broadcast off the wire: journal it (with the ack's
+/// ledger delta), then release the querier's sender.
+fn recv_key_broadcast(
+    querier: &mut PeerChannel,
+    ledger: &mut CostLedger,
+    writer: &mut Option<JournalWriter>,
+) -> Result<Vec<u8>, LinkageError> {
+    let before = ledger.clone();
+    let incoming = querier.recv_data().map_err(net_err)?;
+    if incoming.pair_id != 0 {
+        return Err(LinkageError::Net(format!(
+            "expected the key broadcast, got pair {}",
+            incoming.pair_id
+        )));
+    }
+    ledger.record_message(ENVELOPE_OVERHEAD);
+    let mut payload = delta_of(ledger, &before)?.encode().to_vec();
+    payload.extend_from_slice(&incoming.payload);
+    append(writer, K_PARTY_KEY, &payload)?;
+    querier.commit_ack(&incoming);
+    Ok(incoming.payload)
+}
+
+/// The data-holder loop, for either holder and any wire backend.
+///
+/// The holder replicates the deterministic walk; for each pair that
+/// exchanges a message ([`HolderBackend::next`]) past its resume
+/// watermark it takes Alice's message if it is Bob, builds its own
+/// ([`HolderBackend::message`]) and submits it downstream, keeping up to
+/// `window` pairs in flight. A pair is journaled only when its downstream
+/// ack arrives, and only then is its upstream ack released. Acks release
+/// oldest-first ([`PeerChannel::take_acked_prefix`]), so the journal is an
+/// in-order contiguous prefix at any window; window 1 is the same loop
+/// with nothing allowed to stay unacked — one pair per round trip.
+///
+/// Per-pair ledger deltas are computed at production time and journaled
+/// at commit time; deltas merge commutatively, so the restored ledger is
+/// the same bytes at every window. Ledger parity with the in-process
+/// backends: Alice records her message, Bob his reply plus Alice's ack,
+/// the querier Bob's ack.
 fn run_holder(
-    runner: pprl_smc::SmcRunner<'_>,
+    mut runner: SmcRunner<'_>,
+    mode: SmcMode,
     session: &Session,
     opts: &PartyOptions,
     progress: PartyProgress,
-    writer: Option<JournalWriter>,
+    mut writer: Option<JournalWriter>,
 ) -> Result<(CostLedger, NetStats, u64, u64), LinkageError> {
     let role = opts.role;
+    let side = match role {
+        Role::Alice => HolderSide::Alice,
+        Role::Bob => HolderSide::Bob,
+        Role::Query => {
+            return Err(LinkageError::Net(
+                "the querying party does not run the data-holder loop".into(),
+            ))
+        }
+    };
     let querier_addr = opts
         .querier_addr
         .ok_or_else(|| LinkageError::Net(format!("{role} needs the querier's address")))?;
     let hello = session.hello(role, &progress);
+    let connect = |addr, peer| {
+        PeerChannel::connect(addr, hello, peer, session.timeout, session.policy).map_err(net_err)
+    };
 
     // Topology: the querier listens for both holders; Alice listens for
     // Bob, so the share messages never transit the querier.
-    let (querier, data, mux) = match role {
-        Role::Alice => {
+    let (mut querier, mut peer, mux) = match side {
+        HolderSide::Alice => {
             let listen = opts.listen.as_deref().unwrap_or("127.0.0.1:0");
             let mux = Arc::new(SessionMux::bind(listen, session.timeout).map_err(net_err)?);
-            mux.set_identity(role, session.wire.backend());
+            mux.set_identity(role, session.wire);
             announce(&mux, role);
-            let querier = PeerChannel::connect(
-                querier_addr,
-                hello,
-                Role::Query,
-                session.timeout,
-                session.policy,
-            )
-            .map_err(net_err)?;
+            let querier = connect(querier_addr, Role::Query)?;
             // Lazy: Bob only dials Alice after his own querier handshake
             // completes, and the (equally lazy) querier only claims Bob's
             // dial after Alice acked the key broadcast — so Alice must get
@@ -808,658 +931,103 @@ fn run_holder(
             );
             (querier, bob, Some(mux))
         }
-        Role::Bob => {
+        HolderSide::Bob => {
             let alice_addr = opts
                 .alice_addr
                 .ok_or_else(|| LinkageError::Net("Bob needs Alice's address".into()))?;
-            let querier = PeerChannel::connect(
-                querier_addr,
-                hello,
-                Role::Query,
-                session.timeout,
-                session.policy,
-            )
-            .map_err(net_err)?;
-            let alice = PeerChannel::connect(
-                alice_addr,
-                hello,
-                Role::Alice,
-                session.timeout,
-                session.policy,
-            )
-            .map_err(net_err)?;
-            (querier, alice, None)
+            let querier = connect(querier_addr, Role::Query)?;
+            (querier, connect(alice_addr, Role::Alice)?, None)
         }
-        Role::Query => unreachable!("querier handled by run_querier"),
     };
 
-    match session.wire {
-        WireMode::Paillier { seed, pack } => run_holder_paillier(
-            runner, session, opts, progress, writer, querier, data, mux, seed, pack,
-        ),
-        WireMode::Bloom(params) => run_holder_bloom(
-            runner, session, opts, progress, writer, querier, data, mux, params,
-        ),
-    }
-}
-
-/// The batched-Paillier holder: receive the key broadcast, then walk the
-/// pair sequence exchanging ciphertext messages (lockstep or windowed).
-#[allow(clippy::too_many_arguments)]
-fn run_holder_paillier(
-    mut runner: pprl_smc::SmcRunner<'_>,
-    session: &Session,
-    opts: &PartyOptions,
-    progress: PartyProgress,
-    mut writer: Option<JournalWriter>,
-    mut querier: PeerChannel,
-    mut data: PeerChannel,
-    mux: Option<Arc<SessionMux>>,
-    seed: u64,
-    pack: bool,
-) -> Result<(CostLedger, NetStats, u64, u64), LinkageError> {
-    let role = opts.role;
     let mut ledger = progress.restored_ledger();
     let restored_watermark = progress.watermark();
     let replayed = progress.pairs.len() as u64;
+    let mut backend = HolderBackend::open(mode, side, || match &progress.key {
+        Some((_, bytes)) => Ok(bytes.clone()),
+        None => recv_key_broadcast(&mut querier, &mut ledger, &mut writer),
+    })?;
 
-    // The public key: from the journal on resume, else from the wire.
-    let key_bytes = match &progress.key {
-        Some((_, bytes)) => bytes.clone(),
-        None => {
-            let before = ledger.clone();
-            let incoming = querier.recv_data().map_err(net_err)?;
-            if incoming.pair_id != 0 {
-                return Err(LinkageError::Net(format!(
-                    "expected the key broadcast, got pair {}",
-                    incoming.pair_id
-                )));
-            }
-            ledger.record_message(ENVELOPE_OVERHEAD);
-            let delta = delta_of(&ledger, &before)?;
-            let mut payload = delta.encode().to_vec();
-            payload.extend_from_slice(&incoming.payload);
-            append(&mut writer, K_PARTY_KEY, &payload)?;
-            querier.commit_ack(&incoming);
-            incoming.payload
-        }
+    let mut links = match side {
+        HolderSide::Alice => HolderLinks {
+            down: &mut peer,
+            up: None,
+            pending: VecDeque::new(),
+            writer: &mut writer,
+        },
+        HolderSide::Bob => HolderLinks {
+            down: &mut querier,
+            up: Some(&mut peer),
+            pending: VecDeque::new(),
+            writer: &mut writer,
+        },
     };
-    let pk = decode_public_key(&key_bytes)?;
-
-    // Per-party encryption randomness: ciphertext bytes legitimately
-    // differ from the single-process run, sizes and counts cannot.
-    let mut rng = StdRng::seed_from_u64(seed ^ (0x9e37_79b9 + role as u64));
-
-    // `window == 1` takes the exact lockstep path below; `window > 1`
-    // pipelines: the holder keeps up to `window` pairs in flight to its
-    // downstream peer, journaling each pair only when its ack arrives —
-    // acks release oldest-first ([`PeerChannel::take_acked_prefix`]), so
-    // the journal stays an in-order contiguous prefix and the resume
-    // watermark semantics are unchanged at any window.
-    let window = opts.window.max(1);
-    let crypto_err = |e: pprl_crypto::CryptoError| LinkageError::Smc(SmcError::Crypto(e));
-
+    let max_unacked = opts.window.max(1) - 1;
     let mut live = 0u64;
     let mut ordinal = 0u64;
-    if window == 1 {
-        while let Some(walked) = runner.walk_next_encoded()? {
-            let Some(encoded) = walked.encoded else {
-                continue; // trivial match: decided locally, no messages
-            };
-            ordinal += 1;
-            if ordinal <= restored_watermark {
-                continue; // journaled before the crash; costs already restored
-            }
-            let before = ledger.clone();
-            let event = PairEvent {
-                ri: walked.ri,
-                si: walked.si,
-                decision: pprl_smc::PairDecision::NonMatch, // placeholder: holders never learn
-            };
-            match role {
-                Role::Alice => {
-                    if pack {
-                        pprl_crypto::protocol::validate_packable_values(&encoded.a_vals)
-                            .map_err(crypto_err)?;
-                    }
-                    let message =
-                        alice_record_message(&pk, &encoded.a_vals, &mut rng, &mut ledger)
-                            .map_err(crypto_err)?;
-                    // Lockstep: Bob acks only after the querier committed the
-                    // pair, so one in-flight message is the whole send window.
-                    data.send_data(ordinal, &message).map_err(net_err)?;
-                    let delta = delta_of(&ledger, &before)?;
-                    append(
-                        &mut writer,
-                        K_PARTY_PAIR,
-                        &encode_pair_frame(ordinal, &event, &delta),
-                    )?;
-                }
-                Role::Bob => {
-                    let incoming = data.recv_data().map_err(net_err)?;
-                    if incoming.pair_id != ordinal {
-                        return Err(LinkageError::Net(format!(
-                            "Alice sent pair {} while Bob expected {ordinal}: \
-                             the deterministic walks diverged",
-                            incoming.pair_id
-                        )));
-                    }
-                    let message = bob_reply(&pk, &incoming.payload, &encoded, pack, &mut rng, &mut ledger)?;
-                    querier.send_data(ordinal, &message).map_err(net_err)?;
-                    // Record Alice's ack inside this pair's delta, journal,
-                    // then release it — the two-phase commit_ack ordering.
-                    ledger.record_message(ENVELOPE_OVERHEAD);
-                    let delta = delta_of(&ledger, &before)?;
-                    append(
-                        &mut writer,
-                        K_PARTY_PAIR,
-                        &encode_pair_frame(ordinal, &event, &delta),
-                    )?;
-                    data.commit_ack(&incoming);
-                }
-                Role::Query => unreachable!(),
-            }
-            live += 1;
+    while let Some(pair) = backend.next(&mut runner)? {
+        ordinal += 1;
+        if ordinal <= restored_watermark {
+            continue; // journaled before the crash; costs already restored
         }
-    } else {
-        // Pipelined: submit up to `window` pairs before blocking on the
-        // oldest ack. Per-pair ledger deltas are computed at production
-        // time and journaled at commit time — deltas merge commutatively,
-        // so the restored ledger equals the lockstep run's bytes.
-        let max_unacked = window - 1;
-        match role {
-            Role::Alice => {
-                let mut pending: VecDeque<(u64, PairEvent, CostLedger)> = VecDeque::new();
-                while let Some(walked) = runner.walk_next_encoded()? {
-                    let Some(encoded) = walked.encoded else {
-                        continue;
-                    };
-                    ordinal += 1;
-                    if ordinal <= restored_watermark {
-                        continue;
-                    }
-                    let before = ledger.clone();
-                    if pack {
-                        pprl_crypto::protocol::validate_packable_values(&encoded.a_vals)
-                            .map_err(crypto_err)?;
-                    }
-                    let message =
-                        alice_record_message(&pk, &encoded.a_vals, &mut rng, &mut ledger)
-                            .map_err(crypto_err)?;
-                    let event = PairEvent {
-                        ri: walked.ri,
-                        si: walked.si,
-                        decision: pprl_smc::PairDecision::NonMatch,
-                    };
-                    let delta = delta_of(&ledger, &before)?;
-                    data.submit_data(ordinal, &message);
-                    pending.push_back((ordinal, event, delta));
-                    // Admit the next pair once occupancy dips below the
-                    // window; flushes coalesce queued envelopes per frame.
-                    data.pump_window(max_unacked).map_err(net_err)?;
-                    commit_acked_alice(&mut data, &mut pending, &mut writer)?;
-                    live += 1;
-                }
-                data.flush_window().map_err(net_err)?;
-                commit_acked_alice(&mut data, &mut pending, &mut writer)?;
-                if !pending.is_empty() {
-                    return Err(LinkageError::Net(format!(
-                        "{} pairs left unacknowledged after the window flush",
-                        pending.len()
-                    )));
-                }
-            }
-            Role::Bob => {
-                let mut pending: VecDeque<PendingBobCommit> = VecDeque::new();
-                while let Some(walked) = runner.walk_next_encoded()? {
-                    let Some(encoded) = walked.encoded else {
-                        continue;
-                    };
-                    ordinal += 1;
-                    if ordinal <= restored_watermark {
-                        continue;
-                    }
-                    let before = ledger.clone();
-                    // Wait for Alice in slices, probing the querier leg
-                    // between them. A quiet Alice can mean *our* downstream
-                    // died: she halts at her own window cap until Bob's
-                    // acks flow, and those acks wait on the querier's — so
-                    // a dead querier connection must be retransmitted and
-                    // reconnected here, below the window cap, or all three
-                    // parties deadlock (the blocking pump only escalates
-                    // once occupancy exceeds the cap, which a stalled
-                    // Alice can never push it past).
-                    let incoming = {
-                        let wait = std::time::Instant::now();
-                        loop {
-                            if let Some(incoming) =
-                                data.try_recv_data().map_err(net_err)?
-                            {
-                                break incoming;
-                            }
-                            querier.probe_window().map_err(net_err)?;
-                            commit_acked_bob(
-                                &mut querier,
-                                &mut data,
-                                &mut pending,
-                                &mut writer,
-                            )?;
-                            if wait.elapsed() >= session.policy.deadline {
-                                return Err(net_err(NetError::PeerGone(format!(
-                                    "no data from alice within {:?}",
-                                    session.policy.deadline
-                                ))));
-                            }
-                        }
-                    };
-                    if incoming.pair_id != ordinal {
-                        return Err(LinkageError::Net(format!(
-                            "Alice sent pair {} while Bob expected {ordinal}: \
-                             the deterministic walks diverged",
-                            incoming.pair_id
-                        )));
-                    }
-                    let message =
-                        bob_reply(&pk, &incoming.payload, &encoded, pack, &mut rng, &mut ledger)?;
-                    querier.submit_data(ordinal, &message);
-                    // Alice's ack is metered in this pair's delta now; the
-                    // wire ack leaves at commit time, after the journal.
-                    ledger.record_message(ENVELOPE_OVERHEAD);
-                    let event = PairEvent {
-                        ri: walked.ri,
-                        si: walked.si,
-                        decision: pprl_smc::PairDecision::NonMatch,
-                    };
-                    let delta = delta_of(&ledger, &before)?;
-                    pending.push_back(PendingBobCommit {
-                        ordinal,
-                        incoming,
-                        event,
-                        delta,
-                    });
-                    querier.pump_window(max_unacked).map_err(net_err)?;
-                    commit_acked_bob(&mut querier, &mut data, &mut pending, &mut writer)?;
-                    live += 1;
-                }
-                querier.flush_window().map_err(net_err)?;
-                commit_acked_bob(&mut querier, &mut data, &mut pending, &mut writer)?;
-                if !pending.is_empty() {
-                    return Err(LinkageError::Net(format!(
-                        "{} pairs left unacknowledged after the window flush",
-                        pending.len()
-                    )));
-                }
-            }
-            Role::Query => unreachable!(),
+        let before = ledger.clone();
+        let incoming = links.recv_upstream(ordinal, session.policy.deadline)?;
+        let alice_payload = incoming.as_ref().map(|i| i.payload.as_slice());
+        let message = backend.message(&runner, &pair, alice_payload, &mut ledger)?;
+        links.down.submit_data(ordinal, &message);
+        if incoming.is_some() {
+            // Alice's ack is metered in this pair's delta now; the wire
+            // ack leaves at commit time, after the journal.
+            ledger.record_message(ENVELOPE_OVERHEAD);
         }
+        links.pending.push_back(PendingCommit {
+            ordinal,
+            event: PairEvent {
+                ri: pair.ri,
+                si: pair.si,
+                decision: PairDecision::NonMatch, // placeholder: holders never learn
+            },
+            delta: delta_of(&ledger, &before)?,
+            incoming,
+        });
+        // Admit the next pair once occupancy dips to the window; flushes
+        // coalesce queued envelopes per frame.
+        links.down.pump_window(max_unacked).map_err(net_err)?;
+        links.commit_acked()?;
+        live += 1;
+    }
+    links.down.flush_window().map_err(net_err)?;
+    links.commit_acked()?;
+    if !links.pending.is_empty() {
+        return Err(LinkageError::Net(format!(
+            "{} pairs left unacknowledged after the window flush",
+            links.pending.len()
+        )));
     }
     if let Some(w) = writer.as_mut() {
         w.sync()?;
     }
 
-    answer_startup_dial(role, ordinal, &mut data)?;
+    // Bob dials Alice at startup and blocks on her hello reply, which her
+    // first pair send produces. A schedule with no pair to exchange never
+    // touches that link, so Alice claims his dial before she returns and
+    // closes her listener; otherwise he redials a dead port until the
+    // reconnect deadline and the querier waits as long for his ledger.
+    if side == HolderSide::Alice && ordinal == 0 {
+        peer.ensure_connected().map_err(net_err)?;
+    }
     // Ship the ledger home so the querier's report reaches cost parity.
     querier.send_ledger(&ledger).map_err(net_err)?;
+    if side == HolderSide::Bob {
+        // Alice may be retransmitting pairs whose acks are still in
+        // flight; outlive her instead of resetting the socket under them.
+        peer.serve_until_closed();
+    }
 
     let mut stats = querier.stats;
-    stats.merge(&data.stats);
+    stats.merge(&peer.stats);
     if let Some(mux) = &mux {
         stats.merge(&mux.stats());
     }
     Ok((ledger, stats, replayed, live))
-}
-
-/// The CLK holder: no session setup (nothing to broadcast), then the
-/// same walk/journal/ack machinery as Paillier with the ciphertext
-/// exchange replaced by one fixed-width filter message (Alice → Bob) and
-/// one tally message (Bob → querier) per pair. Every CLK pair is
-/// non-trivial, so ordinals run gap-free over the walk.
-///
-/// Ledger parity: Alice records her filter message, Bob records his
-/// tally message plus Alice's ack, the querier records Bob's ack — four
-/// recordings per pair, exactly what the local [`pprl_smc`] bloom
-/// backend mirrors, so the merged report is byte-identical.
-///
-/// The holder's own filters (Alice's R-rows, Bob's S-rows) come from one
-/// [`pprl_smc::ClkBank`]: a row is encoded the first time a pair still to
-/// be exchanged reaches it. Ordinals at or below the resume watermark
-/// only advance the walk.
-#[allow(clippy::too_many_arguments)]
-fn run_holder_bloom(
-    mut runner: pprl_smc::SmcRunner<'_>,
-    session: &Session,
-    opts: &PartyOptions,
-    progress: PartyProgress,
-    mut writer: Option<JournalWriter>,
-    mut querier: PeerChannel,
-    mut data: PeerChannel,
-    mux: Option<Arc<SessionMux>>,
-    params: pprl_bloom::ClkParams,
-) -> Result<(CostLedger, NetStats, u64, u64), LinkageError> {
-    let role = opts.role;
-    let mut ledger = progress.restored_ledger();
-    let restored_watermark = progress.watermark();
-    let replayed = progress.pairs.len() as u64;
-    let mut bank = pprl_smc::ClkBank::new(
-        params,
-        if role == Role::Alice {
-            pprl_bloom::SIDE_A
-        } else {
-            pprl_bloom::SIDE_B
-        },
-    );
-    let window = opts.window.max(1);
-
-    let mut live = 0u64;
-    let mut ordinal = 0u64;
-    if window == 1 {
-        while let Some((ri, si)) = runner.walk_next_pair()? {
-            ordinal += 1;
-            if ordinal <= restored_watermark {
-                continue; // journaled before the crash; costs already restored
-            }
-            let before = ledger.clone();
-            let event = PairEvent {
-                ri,
-                si,
-                decision: pprl_smc::PairDecision::NonMatch, // placeholder: holders never learn
-            };
-            match role {
-                Role::Alice => {
-                    let (clk, flips) = runner.clk_lookup(&mut bank, ri)?;
-                    let message = pprl_bloom::wire::encode_clk(clk, flips);
-                    ledger.record_message(message.len());
-                    data.send_data(ordinal, &message).map_err(net_err)?;
-                    let delta = delta_of(&ledger, &before)?;
-                    append(
-                        &mut writer,
-                        K_PARTY_PAIR,
-                        &encode_pair_frame(ordinal, &event, &delta),
-                    )?;
-                }
-                Role::Bob => {
-                    let incoming = data.recv_data().map_err(net_err)?;
-                    if incoming.pair_id != ordinal {
-                        return Err(LinkageError::Net(format!(
-                            "Alice sent pair {} while Bob expected {ordinal}: \
-                             the deterministic walks diverged",
-                            incoming.pair_id
-                        )));
-                    }
-                    let (clk, flips) = runner.clk_lookup(&mut bank, si)?;
-                    let message =
-                        bob_dice_reply(&params, &incoming.payload, clk, flips, &mut ledger)?;
-                    querier.send_data(ordinal, &message).map_err(net_err)?;
-                    ledger.record_message(ENVELOPE_OVERHEAD);
-                    let delta = delta_of(&ledger, &before)?;
-                    append(
-                        &mut writer,
-                        K_PARTY_PAIR,
-                        &encode_pair_frame(ordinal, &event, &delta),
-                    )?;
-                    data.commit_ack(&incoming);
-                }
-                Role::Query => unreachable!(),
-            }
-            live += 1;
-        }
-    } else {
-        let max_unacked = window - 1;
-        match role {
-            Role::Alice => {
-                let mut pending: VecDeque<(u64, PairEvent, CostLedger)> = VecDeque::new();
-                while let Some((ri, si)) = runner.walk_next_pair()? {
-                    ordinal += 1;
-                    if ordinal <= restored_watermark {
-                        continue;
-                    }
-                    let (clk, flips) = runner.clk_lookup(&mut bank, ri)?;
-                    let before = ledger.clone();
-                    let message = pprl_bloom::wire::encode_clk(clk, flips);
-                    ledger.record_message(message.len());
-                    let event = PairEvent {
-                        ri,
-                        si,
-                        decision: pprl_smc::PairDecision::NonMatch,
-                    };
-                    let delta = delta_of(&ledger, &before)?;
-                    data.submit_data(ordinal, &message);
-                    pending.push_back((ordinal, event, delta));
-                    data.pump_window(max_unacked).map_err(net_err)?;
-                    commit_acked_alice(&mut data, &mut pending, &mut writer)?;
-                    live += 1;
-                }
-                data.flush_window().map_err(net_err)?;
-                commit_acked_alice(&mut data, &mut pending, &mut writer)?;
-                if !pending.is_empty() {
-                    return Err(LinkageError::Net(format!(
-                        "{} pairs left unacknowledged after the window flush",
-                        pending.len()
-                    )));
-                }
-            }
-            Role::Bob => {
-                let mut pending: VecDeque<PendingBobCommit> = VecDeque::new();
-                while let Some((ri, si)) = runner.walk_next_pair()? {
-                    ordinal += 1;
-                    if ordinal <= restored_watermark {
-                        continue;
-                    }
-                    let before = ledger.clone();
-                    // Slice the wait as in the Paillier path: a quiet
-                    // Alice can mean *our* querier leg died (see the
-                    // deadlock note there).
-                    let incoming = {
-                        let wait = std::time::Instant::now();
-                        loop {
-                            if let Some(incoming) = data.try_recv_data().map_err(net_err)? {
-                                break incoming;
-                            }
-                            querier.probe_window().map_err(net_err)?;
-                            commit_acked_bob(&mut querier, &mut data, &mut pending, &mut writer)?;
-                            if wait.elapsed() >= session.policy.deadline {
-                                return Err(net_err(NetError::PeerGone(format!(
-                                    "no data from alice within {:?}",
-                                    session.policy.deadline
-                                ))));
-                            }
-                        }
-                    };
-                    if incoming.pair_id != ordinal {
-                        return Err(LinkageError::Net(format!(
-                            "Alice sent pair {} while Bob expected {ordinal}: \
-                             the deterministic walks diverged",
-                            incoming.pair_id
-                        )));
-                    }
-                    let (clk, flips) = runner.clk_lookup(&mut bank, si)?;
-                    let message =
-                        bob_dice_reply(&params, &incoming.payload, clk, flips, &mut ledger)?;
-                    querier.submit_data(ordinal, &message);
-                    ledger.record_message(ENVELOPE_OVERHEAD);
-                    let event = PairEvent {
-                        ri,
-                        si,
-                        decision: pprl_smc::PairDecision::NonMatch,
-                    };
-                    let delta = delta_of(&ledger, &before)?;
-                    pending.push_back(PendingBobCommit {
-                        ordinal,
-                        incoming,
-                        event,
-                        delta,
-                    });
-                    querier.pump_window(max_unacked).map_err(net_err)?;
-                    commit_acked_bob(&mut querier, &mut data, &mut pending, &mut writer)?;
-                    live += 1;
-                }
-                querier.flush_window().map_err(net_err)?;
-                commit_acked_bob(&mut querier, &mut data, &mut pending, &mut writer)?;
-                if !pending.is_empty() {
-                    return Err(LinkageError::Net(format!(
-                        "{} pairs left unacknowledged after the window flush",
-                        pending.len()
-                    )));
-                }
-            }
-            Role::Query => unreachable!(),
-        }
-    }
-    if let Some(w) = writer.as_mut() {
-        w.sync()?;
-    }
-
-    answer_startup_dial(role, ordinal, &mut data)?;
-    querier.send_ledger(&ledger).map_err(net_err)?;
-
-    let mut stats = querier.stats;
-    stats.merge(&data.stats);
-    if let Some(mux) = &mux {
-        stats.merge(&mux.stats());
-    }
-    Ok((ledger, stats, replayed, live))
-}
-
-/// Bob dials Alice at startup and blocks on her hello reply, which her
-/// first pair send produces. A schedule with no pair to exchange (`pairs`
-/// walked: none) never touches that link, so Alice claims his dial before
-/// she returns and closes her listener; otherwise he redials a dead port
-/// until the reconnect deadline and the querier waits as long for his
-/// ledger.
-fn answer_startup_dial(role: Role, pairs: u64, data: &mut PeerChannel) -> Result<(), LinkageError> {
-    if role == Role::Alice && pairs == 0 {
-        data.ensure_connected().map_err(net_err)?;
-    }
-    Ok(())
-}
-
-/// Bob's CLK reply for one pair: decode Alice's filter, tally Dice
-/// counts against his own (`b_clk`, with `b_flips` DP flips applied),
-/// and ship the tallies (never his filter) to the querier with the
-/// combined DP flip count.
-fn bob_dice_reply(
-    params: &pprl_bloom::ClkParams,
-    alice_payload: &[u8],
-    b_clk: pprl_bloom::ClkRef<'_>,
-    b_flips: u32,
-    ledger: &mut CostLedger,
-) -> Result<Vec<u8>, LinkageError> {
-    let (a_clk, a_flips) = pprl_bloom::wire::decode_clk(alice_payload, params.filter_len)
-        .map_err(|e| LinkageError::Net(format!("Alice's CLK message rejected: {e}")))?;
-    let counts = pprl_bloom::DiceCounts::of(&a_clk, b_clk)
-        .ok_or_else(|| LinkageError::Net("clk filter lengths diverged".into()))?;
-    let message = pprl_bloom::wire::encode_dice(&pprl_bloom::wire::DiceMsg {
-        a_ones: counts.a_ones,
-        b_ones: counts.b_ones,
-        common: counts.common,
-        flips: a_flips.saturating_add(b_flips),
-    });
-    ledger.record_message(message.len());
-    Ok(message)
-}
-
-/// Bob's reply for one pair: scalar or slot-packed, per the fingerprinted
-/// mode. Identical decisions either way; only modpows and bytes differ.
-fn bob_reply<R: rand::RngCore>(
-    pk: &PublicKey,
-    alice_message: &[u8],
-    encoded: &pprl_smc::EncodedPair,
-    pack: bool,
-    rng: &mut R,
-    ledger: &mut CostLedger,
-) -> Result<Vec<u8>, LinkageError> {
-    let result = if pack {
-        pprl_crypto::protocol::bob_record_message_packed(
-            pk,
-            alice_message,
-            &encoded.b_vals,
-            &encoded.thresholds,
-            rng,
-            ledger,
-        )
-    } else {
-        bob_record_message(
-            pk,
-            alice_message,
-            &encoded.b_vals,
-            &encoded.thresholds,
-            rng,
-            ledger,
-        )
-    };
-    result.map_err(|e| LinkageError::Smc(SmcError::Crypto(e)))
-}
-
-/// One of windowed Bob's produced-but-uncommitted pairs: everything the
-/// commit needs once the querier's ack releases it.
-struct PendingBobCommit {
-    ordinal: u64,
-    incoming: pprl_net::IncomingData,
-    event: PairEvent,
-    delta: CostLedger,
-}
-
-/// Journals every pair the downstream ack released, oldest-first. The
-/// released ids are exactly the submit-order prefix, so the journal and
-/// the resume watermark stay contiguous at any window.
-fn commit_acked_alice(
-    data: &mut PeerChannel,
-    pending: &mut VecDeque<(u64, PairEvent, CostLedger)>,
-    writer: &mut Option<JournalWriter>,
-) -> Result<(), LinkageError> {
-    for id in data.take_acked_prefix() {
-        let Some((ordinal, event, delta)) = pending.pop_front() else {
-            return Err(LinkageError::Net(format!(
-                "pair {id} acked with nothing pending commit"
-            )));
-        };
-        if ordinal != id {
-            return Err(LinkageError::Net(format!(
-                "ack release order diverged: got pair {id}, expected {ordinal}"
-            )));
-        }
-        append(writer, K_PARTY_PAIR, &encode_pair_frame(ordinal, &event, &delta))?;
-    }
-    Ok(())
-}
-
-/// As [`commit_acked_alice`], plus the second half of Bob's two-phase
-/// commit: journal the pair, *then* release Alice's buffered ack.
-fn commit_acked_bob(
-    querier: &mut PeerChannel,
-    data: &mut PeerChannel,
-    pending: &mut VecDeque<PendingBobCommit>,
-    writer: &mut Option<JournalWriter>,
-) -> Result<(), LinkageError> {
-    for id in querier.take_acked_prefix() {
-        let Some(commit) = pending.pop_front() else {
-            return Err(LinkageError::Net(format!(
-                "pair {id} acked with nothing pending commit"
-            )));
-        };
-        if commit.ordinal != id {
-            return Err(LinkageError::Net(format!(
-                "ack release order diverged: got pair {id}, expected {}",
-                commit.ordinal
-            )));
-        }
-        append(
-            writer,
-            K_PARTY_PAIR,
-            &encode_pair_frame(commit.ordinal, &commit.event, &commit.delta),
-        )?;
-        data.commit_ack(&commit.incoming);
-    }
-    Ok(())
-}
-
-fn decode_public_key(bytes: &[u8]) -> Result<PublicKey, LinkageError> {
-    match ProtocolMessage::decode(bytes) {
-        Ok(ProtocolMessage::PublicKey { n }) => PublicKey::from_modulus(n)
-            .map_err(|e| LinkageError::Net(format!("broadcast key rejected: {e}"))),
-        Ok(_) => Err(LinkageError::Net(
-            "key broadcast carried a non-key message".into(),
-        )),
-        Err(e) => Err(LinkageError::Net(format!("bad key broadcast: {e}"))),
-    }
 }

@@ -52,7 +52,7 @@
 
 use crate::journal_run::{self, JournalOptions};
 use crate::party_run::{
-    announce, parse_party_frames, querier_job, wire_mode, PartyOptions, PartyOutcome,
+    announce, parse_party_frames, querier_job, wire_backend, PartyOptions, PartyOutcome,
     K_PARTY_DONE,
 };
 use crate::{HybridLinkage, LinkageError};
@@ -438,18 +438,17 @@ pub fn serve(
     let mut backend: Option<Backend> = None;
     for (i, job) in jobs.iter().enumerate() {
         check_name(&job.name)?;
-        let wire = wire_mode(&job.pipeline)?; // fail fast on a misconfigured job
+        let wire = wire_backend(&job.pipeline)?; // fail fast on a misconfigured job
         // One daemon announces one comparator backend in its handshakes
         // (the listener refuses mismatched dialers before routing), so a
         // mixed fleet must be split across daemons.
         match backend {
-            None => backend = Some(wire.backend()),
-            Some(b) if b != wire.backend() => {
+            None => backend = Some(wire),
+            Some(b) if b != wire => {
                 return Err(LinkageError::Net(format!(
-                    "job {:?} runs the {} backend but this daemon already \
+                    "job {:?} runs the {wire} backend but this daemon already \
                      admitted a {b} job; serve one backend per daemon",
                     job.name,
-                    wire.backend(),
                 )))
             }
             Some(_) => {}

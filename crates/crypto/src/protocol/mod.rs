@@ -27,8 +27,8 @@ pub mod transport;
 pub use compare::secure_threshold_match;
 pub use distance::secure_squared_distance;
 pub use pack::{
-    bob_record_message_packed, querier_reveal_record_packed, validate_packable,
-    validate_packable_values, PackingPlan,
+    bob_record_message_packed, bob_reply, querier_reveal, querier_reveal_record_packed,
+    validate_packable, validate_packable_values, PackingPlan,
 };
 pub use party::{DataHolder, QueryingParty};
 pub use record::{alice_record_message, bob_record_message, querier_reveal_record};

@@ -45,7 +45,8 @@ use crate::paillier::{Ciphertext, PrivateKey, PublicKey};
 use crate::protocol::compare::MASK_BITS;
 use crate::protocol::cost::CostLedger;
 use crate::protocol::record::{
-    expect_empty, expect_tag, get_biguint, get_count, put_ciphertext, RecordShareMessage,
+    bob_record_message, expect_empty, expect_tag, get_biguint, get_count, put_ciphertext,
+    querier_reveal_record, RecordShareMessage,
 };
 use crate::CryptoError;
 use bytes::{BufMut, Bytes, BytesMut};
@@ -312,11 +313,45 @@ pub fn querier_reveal_record_packed(
     Ok(all)
 }
 
+/// Bob's reply in the wire format the fingerprinted `pack` knob fixes:
+/// slot-packed, or one ciphertext per attribute. The one place that
+/// choice is made for Bob, in process or in a holder process.
+pub fn bob_reply<R: RngCore + ?Sized>(
+    pk: &PublicKey,
+    alice_message: &[u8],
+    values: &[u64],
+    thresholds: &[u64],
+    pack: bool,
+    rng: &mut R,
+    ledger: &mut CostLedger,
+) -> Result<Vec<u8>, CryptoError> {
+    if pack {
+        bob_record_message_packed(pk, alice_message, values, thresholds, rng, ledger)
+    } else {
+        bob_record_message(pk, alice_message, values, thresholds, rng, ledger)
+    }
+}
+
+/// The querying party's decision from Bob's reply, under the same `pack`
+/// knob [`bob_reply`] built it with.
+pub fn querier_reveal(
+    sk: &PrivateKey,
+    bob_message: &[u8],
+    pack: bool,
+    ledger: &mut CostLedger,
+) -> Result<bool, CryptoError> {
+    if pack {
+        querier_reveal_record_packed(sk, bob_message, ledger)
+    } else {
+        querier_reveal_record(sk, bob_message, ledger)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::paillier::Keypair;
-    use crate::protocol::record::{alice_record_message, bob_record_message, querier_reveal_record};
+    use crate::protocol::record::alice_record_message;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

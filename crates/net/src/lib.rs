@@ -15,10 +15,7 @@
 //!   layer over a socket, with reconnect-with-resume (a dead peer degrades
 //!   exactly like a retry-exhausted pair, it never aborts the run);
 //! - [`mux`] — [`SessionMux`]: one listener serving concurrent sessions,
-//!   routing handshaken connections by job fingerprint;
-//! - [`transport`] — [`TcpTransport`]: `crypto::protocol::Transport` over
-//!   loopback socket pairs, so the existing `ReliableLink`/`FaultyTransport`
-//!   stack runs unchanged over real kernels' TCP.
+//!   routing handshaken connections by job fingerprint.
 //!
 //! Everything here is stdlib-only (enforced by the D001 dependency policy);
 //! the only non-std dependencies are workspace crates.
@@ -35,7 +32,6 @@ pub mod peer;
 pub mod state;
 pub mod stream;
 pub(crate) mod trace;
-pub mod transport;
 
 pub use batch::{decode_batch, encode_batch, BATCH_MIN_LEN};
 pub use chaos::{ChaosConfig, ChaosProxy, ChaosStats};
@@ -46,7 +42,6 @@ pub use mux::{Admission, AdmissionGate, MuxLimits, SessionMux};
 pub use peer::{IncomingData, PeerChannel, ReconnectPolicy};
 pub use state::{Phase, ProtocolState};
 pub use stream::FramedStream;
-pub use transport::TcpTransport;
 
 /// Errors from the socket layer.
 #[derive(Debug)]

@@ -691,13 +691,16 @@ impl PeerChannel {
                 self.stats.max_window =
                     self.stats.max_window.max(self.window_occupancy() as u64);
                 // Drain whatever is already readable so ack bookkeeping
-                // stays fresh even on eager (non-full-window) passes.
-                loop {
+                // stays fresh even on eager (non-full-window) passes. No
+                // poll with nothing in flight (no ack to read) or over
+                // the cap (the blocking read below takes the next ack,
+                // ready or not).
+                while (1..=max_unacked).contains(&self.window_occupancy()) {
                     let ready = match self.conn.as_mut() {
                         Some(stream) => stream.ready().unwrap_or(false),
                         None => false,
                     };
-                    if !ready || self.window_occupancy() == 0 || !self.recv_windowed() {
+                    if !ready || !self.recv_windowed() {
                         break;
                     }
                 }
@@ -785,12 +788,12 @@ impl PeerChannel {
         if self.recv_windowed() {
             self.probe_stalls = 0;
             // Drain whatever else is already readable before returning.
-            loop {
+            while self.window_occupancy() > 0 {
                 let ready = match self.conn.as_mut() {
                     Some(stream) => stream.ready().unwrap_or(false),
                     None => false,
                 };
-                if !ready || self.window_occupancy() == 0 || !self.recv_windowed() {
+                if !ready || !self.recv_windowed() {
                     break;
                 }
             }
@@ -1103,6 +1106,18 @@ impl PeerChannel {
             self.stats.duplicates += 1;
             return None;
         }
+        // Pair ids on one link are consecutive. An id past the next one
+        // means whole frames vanished below it with the framing intact (a
+        // lossy path can eat exactly a frame); surfacing it would hand the
+        // caller a pair out of walk order. Dropped unacked, it comes back
+        // in order when the sender's silent window retransmits.
+        if env.pair_id > self.received_high + 1 {
+            net_trace!(
+                "{} <- {}: pair {} ahead of a gap (high {}), dropped",
+                self.local.role, self.expect_role, env.pair_id, self.received_high
+            );
+            return None;
+        }
         if env.pair_id != 0 {
             self.received_high = env.pair_id;
         }
@@ -1199,6 +1214,62 @@ impl PeerChannel {
         }
     }
 
+    /// Every data envelope of a frame that arrived after this side
+    /// stopped consuming data, through [`straggler`](Self::straggler).
+    fn straggler_frame(&mut self, kind: u8, payload: &[u8]) {
+        match kind {
+            K_DATA => {
+                if let Ok(env) = Envelope::decode(payload) {
+                    self.straggler(env);
+                }
+            }
+            K_DATA_BATCH => {
+                for env in decode_batch(payload).unwrap_or_default() {
+                    self.straggler(env);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Keeps answering the peer on the current connection until it hangs
+    /// up: a receiver that has committed everything calls this before it
+    /// exits. The sender may still be retransmitting pairs whose acks are
+    /// in flight (its silent window can expire just as they are written);
+    /// closing a socket with those retransmissions unread resets it and
+    /// can discard the acks on their way, stranding the sender with
+    /// nobody left to redial. Retransmissions are re-acked off-ledger as
+    /// in [`recv_ledger`](Self::recv_ledger). Returns when the peer closes,
+    /// the connection fails, or the policy deadline passes in silence; a
+    /// channel with no live connection returns at once.
+    pub fn serve_until_closed(&mut self) {
+        let mut start = Instant::now();
+        while self.conn.is_some() && start.elapsed() < self.policy.deadline {
+            let mut stats = std::mem::take(&mut self.stats);
+            let received = self
+                .conn
+                .as_mut()
+                .map(|stream| stream.recv(&mut stats))
+                .unwrap_or(Err(NetError::Disconnected));
+            self.stats = stats;
+            match received {
+                Ok((kind, payload)) if !self.admit_frame(kind, payload.len()) => {}
+                Ok((kind, payload)) => {
+                    start = Instant::now();
+                    self.straggler_frame(kind, &payload);
+                }
+                Err(NetError::Timeout) => {}
+                Err(e) => {
+                    net_trace!(
+                        "{} <- {}: done serving: {e}",
+                        self.local.role, self.expect_role
+                    );
+                    self.conn = None;
+                }
+            }
+        }
+    }
+
     /// Blocks for the peer's end-of-session cost summary.
     ///
     /// The deadline here is a *liveness* bound — it restarts whenever a
@@ -1234,21 +1305,10 @@ impl PeerChannel {
             match received {
                 Ok((kind, payload)) if !self.admit_frame(kind, payload.len()) => {}
                 Ok((K_LEDGER, payload)) => self.pending_ledger = Some(payload),
-                Ok((K_DATA, payload)) => {
+                Ok((kind, payload)) => {
                     start = Instant::now();
-                    if let Ok(env) = Envelope::decode(&payload) {
-                        self.straggler(env);
-                    }
+                    self.straggler_frame(kind, &payload);
                 }
-                Ok((K_DATA_BATCH, payload)) => {
-                    start = Instant::now();
-                    if let Ok(envs) = decode_batch(&payload) {
-                        for env in envs {
-                            self.straggler(env);
-                        }
-                    }
-                }
-                Ok((_, _)) => start = Instant::now(),
                 Err(NetError::Timeout) => {}
                 Err(_) => self.conn = None,
             }
@@ -1668,6 +1728,59 @@ mod tests {
         alice.conn.as_mut().unwrap().send(K_DATA, &copy, &mut stats).unwrap();
         let bob = receiver.join().unwrap();
         assert_eq!(bob.watermark(), 0, "nothing committed");
+    }
+
+    /// A lossy path can eat exactly one frame and leave the framing
+    /// intact: the receiver must not surface the pair behind the hole.
+    #[test]
+    fn a_pair_past_a_gap_waits_for_the_retransmission_that_fills_it() {
+        let (mut alice, mut bob, _mux) = link(100, 5_000);
+        let receiver = std::thread::spawn(move || {
+            let mut ledger = CostLedger::new();
+            for expect in 1..=2u64 {
+                let incoming = bob.recv_data().unwrap();
+                assert_eq!(incoming.pair_id, expect, "pairs surface in walk order");
+                bob.ack_on_ledger(&incoming, &mut ledger);
+            }
+            bob
+        });
+        alice.submit_data(1, &[1; 8]);
+        alice.submit_data(2, &[2; 8]);
+        // Pair 1 counts as sent but never reaches the wire.
+        let lost = alice.inflight.front_mut().unwrap();
+        lost.queued = false;
+        lost.sent_once = true;
+        alice.flush_window().unwrap();
+        assert_eq!(alice.take_acked_prefix(), vec![1, 2]);
+        assert!(alice.stats.retransmits >= 1, "the silent window resent pair 1");
+        assert_eq!(receiver.join().unwrap().watermark(), 2);
+    }
+
+    #[test]
+    fn a_finished_receiver_keeps_reacking_until_the_sender_hangs_up() {
+        let (mut alice, mut bob, _mux) = link(200, 5_000);
+        let receiver = std::thread::spawn(move || {
+            let mut ledger = CostLedger::new();
+            let incoming = bob.recv_data().unwrap();
+            bob.ack_on_ledger(&incoming, &mut ledger);
+            bob.serve_until_closed();
+            (bob, ledger)
+        });
+        alice.send_data(1, &[4; 16]).unwrap();
+        // A late retransmission of the committed pair is answered, not
+        // left unread for the close to trip over.
+        let copy = Envelope::data(1, 7, vec![4; 16]).encode();
+        let mut stats = NetStats::default();
+        let conn = alice.conn.as_mut().unwrap();
+        conn.send(K_DATA, &copy, &mut stats).unwrap();
+        let (kind, payload) = conn.recv(&mut stats).unwrap();
+        let ack = Envelope::decode(&payload).unwrap();
+        assert_eq!(kind, K_DATA);
+        assert!(ack.kind == FrameKind::Ack && ack.pair_id == 1 && ack.seq == 7);
+        drop(alice);
+        let (bob, ledger) = receiver.join().unwrap();
+        assert_eq!(bob.stats.duplicates, 1);
+        assert_eq!(ledger.messages, 1, "the re-ack stayed off the ledger");
     }
 
     #[test]

@@ -47,7 +47,10 @@ use pprl_crypto::protocol::retry::{ReliableLink, RetryPolicy};
 use pprl_crypto::protocol::transport::{
     FaultStats, FaultyTransport, LocalTransport, PartyId, TransportError, ENVELOPE_OVERHEAD,
 };
-use pprl_crypto::protocol::{secure_threshold_match, DataHolder};
+use pprl_crypto::protocol::{
+    alice_record_message, bob_reply, querier_reveal, secure_threshold_match,
+    validate_packable_values, DataHolder,
+};
 use pprl_crypto::CostLedger;
 use pprl_data::{Record, Value};
 use rand::rngs::StdRng;
@@ -379,38 +382,21 @@ impl Comparator for BatchedPaillier {
         else {
             return Ok(CompareOutcome::Decided(true));
         };
-        use pprl_crypto::protocol::pack::{
-            bob_record_message_packed, querier_reveal_record_packed, validate_packable_values,
-        };
-        use pprl_crypto::protocol::record::{
-            alice_record_message, bob_record_message, querier_reveal_record,
-        };
         if self.pack {
             // Alice's own-value bound check (Bob cannot verify it).
             validate_packable_values(&a_vals)?;
         }
         let m_alice = alice_record_message(self.keys.public(), &a_vals, &mut self.rng, ledger)?;
-        let decided = if self.pack {
-            let m_bob = bob_record_message_packed(
-                self.keys.public(),
-                &m_alice,
-                &b_vals,
-                &thresholds,
-                &mut self.rng,
-                ledger,
-            )?;
-            querier_reveal_record_packed(self.keys.private(), &m_bob, ledger)?
-        } else {
-            let m_bob = bob_record_message(
-                self.keys.public(),
-                &m_alice,
-                &b_vals,
-                &thresholds,
-                &mut self.rng,
-                ledger,
-            )?;
-            querier_reveal_record(self.keys.private(), &m_bob, ledger)?
-        };
+        let m_bob = bob_reply(
+            self.keys.public(),
+            &m_alice,
+            &b_vals,
+            &thresholds,
+            self.pack,
+            &mut self.rng,
+            ledger,
+        )?;
+        let decided = querier_reveal(self.keys.private(), &m_bob, self.pack, ledger)?;
         Ok(CompareOutcome::Decided(decided))
     }
 
@@ -545,12 +531,6 @@ impl Comparator for TransportedPaillier {
         else {
             return Ok(CompareOutcome::Decided(true));
         };
-        use pprl_crypto::protocol::pack::{
-            bob_record_message_packed, querier_reveal_record_packed, validate_packable_values,
-        };
-        use pprl_crypto::protocol::record::{
-            alice_record_message, bob_record_message, querier_reveal_record,
-        };
         if self.pack {
             validate_packable_values(&a_vals)?;
         }
@@ -568,25 +548,15 @@ impl Comparator for TransportedPaillier {
         // The envelope checksum guarantees the payload arrived intact, so
         // a decode failure here is a real protocol bug — propagate it
         // rather than degrade.
-        let m_bob = if self.pack {
-            bob_record_message_packed(
-                self.bob.public_key(),
-                &delivered,
-                &b_vals,
-                &thresholds,
-                &mut self.rng,
-                ledger,
-            )?
-        } else {
-            bob_record_message(
-                self.bob.public_key(),
-                &delivered,
-                &b_vals,
-                &thresholds,
-                &mut self.rng,
-                ledger,
-            )?
-        };
+        let m_bob = bob_reply(
+            self.bob.public_key(),
+            &delivered,
+            &b_vals,
+            &thresholds,
+            self.pack,
+            &mut self.rng,
+            ledger,
+        )?;
         let delivered = match self
             .link
             .deliver(PartyId::Bob, PartyId::Querier, pair_id, m_bob, ledger)
@@ -594,11 +564,7 @@ impl Comparator for TransportedPaillier {
             Ok(bytes) => bytes,
             Err(TransportError::RetriesExhausted { .. }) => return Ok(CompareOutcome::Abandoned),
         };
-        let decided = if self.pack {
-            querier_reveal_record_packed(self.keys.private(), &delivered, ledger)?
-        } else {
-            querier_reveal_record(self.keys.private(), &delivered, ledger)?
-        };
+        let decided = querier_reveal(self.keys.private(), &delivered, self.pack, ledger)?;
         Ok(CompareOutcome::Decided(decided))
     }
 
@@ -647,20 +613,16 @@ impl Comparator for RemotePaillier {
         if batch_encode(ctx.rule, ctx.qids, r, s, ctx.norms)?.is_none() {
             return Ok(CompareOutcome::Decided(true));
         }
-        use pprl_crypto::protocol::pack::querier_reveal_record_packed;
-        use pprl_crypto::protocol::record::querier_reveal_record;
         self.next_pair_id += 1;
         let pair_id = self.next_pair_id;
         match self.party.bob_message(pair_id, ledger)? {
             None => Ok(CompareOutcome::Abandoned),
-            Some(m_bob) => {
-                let decided = if self.pack {
-                    querier_reveal_record_packed(self.keys.private(), &m_bob, ledger)?
-                } else {
-                    querier_reveal_record(self.keys.private(), &m_bob, ledger)?
-                };
-                Ok(CompareOutcome::Decided(decided))
-            }
+            Some(m_bob) => Ok(CompareOutcome::Decided(querier_reveal(
+                self.keys.private(),
+                &m_bob,
+                self.pack,
+                ledger,
+            )?)),
         }
     }
 }

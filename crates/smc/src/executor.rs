@@ -35,7 +35,6 @@
 //!   compared, and degrade through the same [`LabelingStrategy`] path.
 
 use crate::allowance::SmcAllowance;
-use crate::clk_bank::ClkBank;
 use crate::comparator::{self, Comparator, CompareCtx, ComparatorStats};
 use crate::deadline::{DeadlineBudget, DeadlineClock};
 use crate::heuristics::{order_unknown, SelectionHeuristic};
@@ -417,39 +416,12 @@ pub struct PairEvent {
     pub decision: PairDecision,
 }
 
-/// The batched integer encoding of one non-trivial record pair: Alice's
-/// values, Bob's values, and the squared thresholds, one entry per
-/// decidable attribute. What each side of the wire protocol feeds into
-/// [`pprl_crypto::protocol::record`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct EncodedPair {
-    /// Alice's encoded attribute values.
-    pub a_vals: Vec<u64>,
-    /// Bob's encoded attribute values.
-    pub b_vals: Vec<u64>,
-    /// Squared thresholds, aligned with the values.
-    pub thresholds: Vec<u64>,
-}
-
-/// One step of the deterministic pair walk as seen by a data-holder
-/// process: the pair, and its batched encoding (`None` when the pair is
-/// trivially matched — no attribute can fail — and exchanges no messages).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WalkedPair {
-    /// Row in R.
-    pub ri: u32,
-    /// Row in S.
-    pub si: u32,
-    /// Batched encoding; `None` for a trivial match.
-    pub encoded: Option<EncodedPair>,
-}
-
 /// The querying party's hook into a genuinely distributed deployment:
 /// Alice and Bob run in their own processes and only ciphertext messages
 /// cross the boundary (`pprl-net` implements this over TCP).
 ///
 /// Cost-accounting contract (mirrors the in-process
-/// [`TransportedBackend`] so a networked run's merged ledger equals the
+/// `TransportedPaillier` so a networked run's merged ledger equals the
 /// single-process run's): implementations record *querier-side* costs
 /// into the passed ledger — one key message per holder at broadcast, one
 /// ack frame per received pair message — and nothing else; the holders
@@ -811,17 +783,26 @@ impl<'a> SmcRunner<'a> {
     }
 
     /// Advances the deterministic pair walk one step *without running any
-    /// protocol*, returning the pair and its batched encoding. This is
-    /// the data-holder side of a networked session: Alice and Bob each
-    /// replicate the walk locally (it is decision-independent — see
+    /// protocol*: the data-holder side of a networked session (see
+    /// [`HolderBackend::next`](crate::holder::HolderBackend::next)). The
+    /// walk is decision-independent — see
     /// [`upcoming_pairs`](Self::upcoming_pairs) — so a placeholder
-    /// non-match advances it exactly as the querier's real decision
-    /// will), producing or consuming one wire message per non-trivial
-    /// pair. `None` once the walk is complete.
-    pub fn walk_next_encoded(&mut self) -> Result<Option<WalkedPair>, SmcError> {
+    /// non-match advances it exactly as the querier's real decision will.
+    /// `None` once the walk is complete.
+    pub(crate) fn walk_next_pair(&mut self) -> Result<Option<(u32, u32)>, SmcError> {
         let Some((ri, si)) = self.locate_next_pair()? else {
             return Ok(None);
         };
+        self.apply_decision(ri, si, PairDecision::NonMatch)?;
+        Ok(Some((ri, si)))
+    }
+
+    /// The two records of pair `(ri, si)`.
+    pub(crate) fn pair_records(
+        &self,
+        ri: u32,
+        si: u32,
+    ) -> Result<(&'a pprl_data::Record, &'a pprl_data::Record), SmcError> {
         let r = self
             .r_data
             .records()
@@ -832,51 +813,17 @@ impl<'a> SmcRunner<'a> {
             .records()
             .get(si as usize)
             .ok_or(SmcError::Internal("S record index out of range"))?;
-        let encoded = batch_encode(&self.comparer.rule, &self.qids, r, s, &self.comparer.norms)?
-            .map(|(a_vals, b_vals, thresholds)| EncodedPair {
-                a_vals,
-                b_vals,
-                thresholds,
-            });
-        self.apply_decision(ri, si, PairDecision::NonMatch)?;
-        Ok(Some(WalkedPair { ri, si, encoded }))
+        Ok((r, s))
     }
 
-    /// [`walk_next_encoded`](Self::walk_next_encoded) without the batched
-    /// Paillier encoding — the data-holder walk of backends whose wire
-    /// messages are derived from the raw records (the CLK exchange, where
-    /// *every* pair is non-trivial and gets exactly one ordinal).
-    pub fn walk_next_pair(&mut self) -> Result<Option<(u32, u32)>, SmcError> {
-        let Some((ri, si)) = self.locate_next_pair()? else {
-            return Ok(None);
-        };
-        self.apply_decision(ri, si, PairDecision::NonMatch)?;
-        Ok(Some((ri, si)))
-    }
-
-    /// A data holder's own CLK for `row` of its side — Alice's side-A
-    /// filter of an R record or Bob's side-B filter of an S record, the
-    /// side being `bank`'s — with the exact canonicalization and
-    /// per-`(side, row)` DP noise stream the querier's local mirror uses.
-    /// The holder calls this only for pairs it still has to exchange, so
-    /// ordinals replayed from a journal advance the walk and never reach
-    /// the encoder; a resumed holder re-derives byte-identical wire
-    /// messages for the rest.
-    pub fn clk_lookup<'b>(
-        &self,
-        bank: &'b mut ClkBank,
-        row: u32,
-    ) -> Result<(pprl_bloom::ClkRef<'b>, u32), SmcError> {
-        let data = if bank.side() == pprl_bloom::SIDE_A {
-            self.r_data
-        } else {
-            self.s_data
-        };
-        let rec = data
-            .records()
-            .get(row as usize)
-            .ok_or(SmcError::Internal("record index out of range"))?;
-        bank.lookup(&self.qids, rec, row)
+    /// What a backend may read about the job, on either side of the wire.
+    pub(crate) fn compare_ctx(&self) -> CompareCtx<'_> {
+        CompareCtx {
+            schema: self.comparer.schema.as_ref(),
+            rule: &self.comparer.rule,
+            norms: &self.comparer.norms,
+            qids: &self.qids,
+        }
     }
 
     /// Advances bookkeeping-only phase transitions (leftover pushes, empty
@@ -1142,15 +1089,7 @@ impl<'a> SmcRunner<'a> {
     }
 
     fn compare_pair(&mut self, ri: u32, si: u32) -> Result<CompareOutcome, SmcError> {
-        let (r_data, s_data) = (self.r_data, self.s_data);
-        let r = r_data
-            .records()
-            .get(ri as usize)
-            .ok_or(SmcError::Internal("R record index out of range"))?;
-        let s = s_data
-            .records()
-            .get(si as usize)
-            .ok_or(SmcError::Internal("S record index out of range"))?;
+        let (r, s) = self.pair_records(ri, si)?;
         self.comparer
             .compare(&self.qids, ri, si, r, s, &mut self.session.ledger)
     }
@@ -1479,7 +1418,7 @@ impl Comparer {
 
 /// Batched per-attribute encodings for one pair: Alice's values, Bob's
 /// values, and the per-attribute failure thresholds, index-aligned.
-type BatchEncoding = (Vec<u64>, Vec<u64>, Vec<u64>);
+pub(crate) type BatchEncoding = (Vec<u64>, Vec<u64>, Vec<u64>);
 
 /// Encodes every decidable attribute of a record pair for the batched
 /// protocol; `Ok(None)` when no attribute can fail (trivial match).
@@ -1613,6 +1552,7 @@ mod tests {
     /// touch are never encoded.
     #[test]
     fn replayed_ordinals_never_reach_the_clk_encoder() {
+        use crate::holder::{HolderBackend, HolderSide};
         let f = fixture(200);
         let params = pprl_bloom::ClkParams::paper_defaults(42);
         let mut step = step(SmcAllowance::Pairs(600));
@@ -1620,25 +1560,35 @@ mod tests {
         let mut runner = step
             .start(&f.a, &f.b, &f.va, &f.vb, &f.unknown, &f.rule, f.total)
             .unwrap();
-        let mut bank = ClkBank::new(params, pprl_bloom::SIDE_B);
+        let mut bob = HolderBackend::open(step.mode, HolderSide::Bob, || -> Result<_, SmcError> {
+            Err(SmcError::Internal("the CLK exchange has no key message"))
+        })
+        .unwrap();
+        let alice_msg = pprl_bloom::wire::encode_clk(&pprl_bloom::Clk::zero(params.filter_len), 0);
         let watermark = 450u64;
         let mut ordinal = 0u64;
         let mut replayed = std::collections::BTreeSet::new();
         let mut live = std::collections::BTreeSet::new();
-        while let Some((_, si)) = runner.walk_next_pair().unwrap() {
+        let mut ledger = CostLedger::new();
+        while let Some(pair) = bob.next(&mut runner).unwrap() {
             ordinal += 1;
             if ordinal <= watermark {
-                replayed.insert(si);
+                replayed.insert(pair.si);
                 continue;
             }
-            live.insert(si);
-            let (clk, _) = runner.clk_lookup(&mut bank, si).unwrap();
-            assert_eq!(clk.nbits(), params.filter_len);
+            live.insert(pair.si);
+            let reply = bob
+                .message(&runner, &pair, Some(&alice_msg), &mut ledger)
+                .unwrap();
+            assert_eq!(reply.len(), pprl_bloom::wire::DICE_MSG_LEN);
         }
         assert_eq!(
             ordinal, 600,
             "the fixture leaves more than the budget undecided"
         );
+        let HolderBackend::Bloom { bank, .. } = &bob else {
+            panic!("bloom mode opens the bloom holder");
+        };
         assert_eq!(bank.encoded_rows(), live.len());
         assert!(
             replayed.difference(&live).next().is_some(),

@@ -36,6 +36,7 @@ mod deadline;
 pub mod executor;
 pub mod expected;
 mod heuristics;
+pub mod holder;
 mod strategy;
 
 pub use allowance::SmcAllowance;
@@ -44,10 +45,11 @@ pub use codec::{decode_session, encode_session};
 pub use comparator::{clk_record_fields, CompareCtx, Comparator, ComparatorStats};
 pub use deadline::DeadlineBudget;
 pub use executor::{
-    AbandonReason, AbandonTally, ChannelConfig, CompareOutcome, DegradationReport, EncodedPair,
-    ExaminedStats, LeftoverPair, PairDecision, PairEvent, RemoteParty, SessionPhase, SmcMode,
-    SmcReport, SmcRunner, SmcSession, SmcStep, WalkedPair,
+    AbandonReason, AbandonTally, ChannelConfig, CompareOutcome, DegradationReport, ExaminedStats,
+    LeftoverPair, PairDecision, PairEvent, RemoteParty, SessionPhase, SmcMode, SmcReport,
+    SmcRunner, SmcSession, SmcStep,
 };
+pub use holder::{HolderBackend, HolderPair, HolderSide};
 pub use heuristics::{order_unknown, SelectionHeuristic};
 pub use strategy::{label_leftovers, LabelingStrategy};
 
