@@ -94,10 +94,13 @@ RUN OPTIONS:
   --method M          entropy | tds | datafly | mondrian       [entropy]
   --strategy S        precision | recall | classifier          [precision]
   --paillier BITS     run real Paillier SMC with BITS-bit keys (slow)
-  --backend B         comparator backend: paillier | bloom. Selects the
-                      real wire protocol in-process (same frames as party
-                      mode); `bloom` compares q-gram CLK Bloom filters by
-                      Dice similarity instead of exact Paillier distances
+  --backend B         comparator backend: paillier | bloom. Runs party
+                      mode's wire protocol in process: the same messages,
+                      handed over directly, not the same frames — under
+                      paillier the ledger has no acks and no key broadcast
+                      (--fault-rate 0 meters those). `bloom` compares
+                      q-gram CLK Bloom filters by Dice similarity instead
+                      of exact Paillier distances
   --clk-len N         bloom: CLK filter length in bits          [1000]
   --clk-hashes N      bloom: hash functions per q-gram          [30]
   --clk-q N           bloom: q-gram width                       [2]
@@ -375,11 +378,14 @@ fn build_config(opts: &Opts) -> Result<LinkageConfig, String> {
 /// split the job fingerprint.
 fn backend_mode(opts: &Opts) -> Result<SmcMode, String> {
     match opts.get("backend").map(String::as_str).unwrap_or("paillier") {
-        "paillier" => Ok(SmcMode::PaillierBatched {
-            modulus_bits: get(opts, "paillier", 256)?,
-            seed: get(opts, "seed", 42)?,
-            pack: opts.contains_key("pack"),
-        }),
+        "paillier" => {
+            refuse_unread(opts, &CLK_FLAGS, "--backend bloom")?;
+            Ok(SmcMode::PaillierBatched {
+                modulus_bits: get(opts, "paillier", 256)?,
+                seed: get(opts, "seed", 42)?,
+                pack: opts.contains_key("pack"),
+            })
+        }
         "bloom" => {
             if opts.contains_key("pack") {
                 return Err(
@@ -407,6 +413,24 @@ fn backend_mode(opts: &Opts) -> Result<SmcMode, String> {
     }
 }
 
+/// The CLK knobs: read under `--backend bloom` and nowhere else.
+const CLK_FLAGS: [&str; 5] = [
+    "clk-len",
+    "clk-hashes",
+    "clk-q",
+    "clk-threshold",
+    "clk-epsilon",
+];
+
+/// A flag only `reader` reads would be silently ignored without it; refuse
+/// it instead.
+fn refuse_unread(opts: &Opts, flags: &[&str], reader: &str) -> Result<(), String> {
+    match flags.iter().find(|key| opts.contains_key(**key)) {
+        Some(key) => Err(format!("--{key} does nothing without {reader}")),
+        None => Ok(()),
+    }
+}
+
 fn cmd_run(opts: &Opts) -> Result<(), String> {
     if opts.contains_key("resume") && !opts.contains_key("journal") {
         return Err("--resume requires --journal PATH".to_string());
@@ -423,6 +447,12 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
         }
         config.mode = backend_mode(opts)?;
         config.channel = None;
+    } else {
+        refuse_unread(opts, &CLK_FLAGS, "--backend bloom")?;
+        if config.channel.is_none() {
+            // The oracle and per-attribute runs send no reply to pack.
+            refuse_unread(opts, &["pack"], "--backend paillier")?;
+        }
     }
     let threads: usize = get(opts, "threads", pprl_runtime::resolve_threads(None))?;
     if threads == 0 {

@@ -1,11 +1,14 @@
 //! Backend-parity acceptance suite for the pluggable comparator seam.
 //!
-//! Four bars, one per way the refactor could regress:
+//! Four bars, one per way the refactor could regress (plus the CLI's
+//! refusal of backend flags the selected backend would not read):
 //!
 //! 1. **Paillier behind the trait is the pre-refactor protocol, byte for
-//!    byte** — the seeded 120-record run's report *and* journal must
-//!    hash to the digests pinned from the seed build. Any drift in
-//!    decisions, ledger accounting, or journal frame bytes trips this.
+//!    byte** — on the seeded 120-record corpus, the report *and* journal
+//!    of every in-process shape (per-attribute, batched scalar and
+//!    packed, batched over the simulated link at fault rates 0 and 0.1)
+//!    must hash to the pinned digests. Any drift in decisions, ledger
+//!    accounting, degradation tallies or journal frame bytes trips this.
 //! 2. **The Bloom backend survives deployment** — a three-process
 //!    loopback run (with Bob SIGKILLed mid-session and resumed from his
 //!    journal, his querier leg slowed by a delay proxy so the kill lands
@@ -23,26 +26,70 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-/// FNV-1a-64 digest of the seeded 120-record Paillier report
-/// (`synth --records 120 --seed 7`, then `run --allowance-pct 2.0
-/// --paillier 256 --threads 1 --fault-rate 0`), pinned from the
-/// pre-refactor build.
-const SEED_REPORT_FNV: u64 = 0x5d41629d50fc0647;
-/// Same run's journal digest (`--journal`, 8239 bytes at the seed).
-const SEED_JOURNAL_FNV: u64 = 0x04c5527f75053da1;
+/// One pinned in-process run: `(backend args, report FNV-1a-64, journal
+/// FNV-1a-64)` on the seeded 120-record corpus (`synth --records 120
+/// --seed 7`, then `run --allowance-pct 2.0 --threads 1 <args> --journal`).
+type Pin = (&'static [&'static str], u64, u64);
 
-/// In-process Bloom pins on the same corpus (`run --allowance-pct 2.0
-/// --threads 1 --backend bloom --journal`), taken from the build that
-/// still encoded both filters at every pair. `(extra args, report,
-/// journal)`. The repo benchmark runs ε = 0 only; the second row is the
-/// one that holds the `(seed, side, row)`-keyed flip streams in place.
-/// At ε = 2.0 an eighth of all bits flip and nothing reaches the default
-/// 0.8 threshold, so that row lowers it to 0.5, where 109 of the 288
-/// noisy pairs match and the verdicts turn on individual flipped bits.
-const BLOOM_PINS: [(&[&str], u64, u64); 2] = [
-    (&[], 0x2eb003fad6b95b20, 0x132d54fa087792a1),
+/// Every in-process Paillier shape. The first row is the pre-trait seed
+/// build's (8239-byte journal); the rest were taken from, and re-verified
+/// against, commit 51889c2 — the last build with one comparator type per
+/// deployment shape — before that seam moved: per-attribute early exit,
+/// the batched exchange handed over in process (scalar and packed: no
+/// acks, no key broadcast in the ledger), and the batched exchange over
+/// the simulated link at fault rate 0.1, which is deterministic from
+/// `--fault-seed` and abandons 2 pairs, so it holds the degradation path
+/// (retry tallies, the abandon-on-exhaustion label) in place too.
+const PAILLIER_PINS: [Pin; 5] = [
     (
-        &["--clk-epsilon", "2.0", "--clk-threshold", "0.5"],
+        &["--paillier", "256", "--fault-rate", "0"],
+        0x5d41629d50fc0647,
+        0x04c5527f75053da1,
+    ),
+    (
+        &["--paillier", "256"],
+        0x5e0db7dc60163ae5,
+        0x93f400f9acc43f2f,
+    ),
+    (
+        &["--backend", "paillier", "--paillier", "256"],
+        0x0b227400ea0454a3,
+        0x8e642a4574da4b3e,
+    ),
+    (
+        &["--backend", "paillier", "--paillier", "256", "--pack"],
+        0x75ec700c1f99c908,
+        0x8ce9d8734580aa63,
+    ),
+    (
+        &["--paillier", "256", "--fault-rate", "0.1"],
+        0x64604acfcd3beb99,
+        0xb71e6b5a2ba4a56c,
+    ),
+];
+
+/// In-process Bloom pins on the same corpus, taken from the build that
+/// still encoded both filters at every pair. The repo benchmark runs
+/// ε = 0 only; the second row is the one that holds the `(seed, side,
+/// row)`-keyed flip streams in place. At ε = 2.0 an eighth of all bits
+/// flip and nothing reaches the default 0.8 threshold, so that row lowers
+/// it to 0.5, where 109 of the 288 noisy pairs match and the verdicts
+/// turn on individual flipped bits.
+const BLOOM_PINS: [Pin; 2] = [
+    (
+        &["--backend", "bloom"],
+        0x2eb003fad6b95b20,
+        0x132d54fa087792a1,
+    ),
+    (
+        &[
+            "--backend",
+            "bloom",
+            "--clk-epsilon",
+            "2.0",
+            "--clk-threshold",
+            "0.5",
+        ],
         0x18e62e4a10289e4f,
         0xed7f0acf529e1966,
     ),
@@ -126,9 +173,10 @@ impl Party {
         while Instant::now() < deadline {
             match self.stderr.recv_timeout(Duration::from_millis(200)) {
                 Ok(line) => {
-                    if let Some(addr) = line.strip_prefix("pprl-net: ").and_then(|rest| {
-                        rest.split(" listening on ").nth(1).map(str::to_string)
-                    }) {
+                    if let Some(addr) = line
+                        .strip_prefix("pprl-net: ")
+                        .and_then(|rest| rest.split(" listening on ").nth(1).map(str::to_string))
+                    {
                         return addr;
                     }
                 }
@@ -154,73 +202,76 @@ impl Party {
     }
 }
 
-/// Bar 1: the Paillier path routed through the `Comparator` trait must
-/// reproduce the pre-refactor seed build byte for byte — report and
-/// journal both.
-#[test]
-fn paillier_behind_the_trait_matches_the_seed_digests() {
-    let dir = work_dir("seed");
+/// Runs every row of `pins` in process and compares its report and
+/// journal bytes against the pinned digests.
+fn assert_pinned(tag: &str, pins: &[Pin]) {
+    let dir = work_dir(tag);
     synth(&dir);
-    let journal = dir.join("run.journal");
-    let out = Command::new(bin())
-        .arg("run")
-        .args(common_args(&dir, &["--paillier", "256", "--fault-rate", "0"]))
-        .args(["--journal", &journal.display().to_string()])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "seed run failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert_eq!(
-        fnv1a64(&out.stdout),
-        SEED_REPORT_FNV,
-        "the Paillier report drifted from the pre-refactor seed build:\n{}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-    let journal_bytes = std::fs::read(&journal).unwrap();
-    assert_eq!(
-        fnv1a64(&journal_bytes),
-        SEED_JOURNAL_FNV,
-        "the Paillier journal drifted from the pre-refactor seed build \
-         ({} bytes)",
-        journal_bytes.len()
-    );
-}
-
-/// Bar 4: the in-process Bloom backend reproduces the pinned report and
-/// journal bytes with flipping off and with flipping on.
-#[test]
-fn bloom_in_process_matches_the_pinned_digests_with_and_without_flips() {
-    let dir = work_dir("bloom-pins");
-    synth(&dir);
-    for (n, (extra, report_fnv, journal_fnv)) in BLOOM_PINS.iter().enumerate() {
+    for (n, (args, report_fnv, journal_fnv)) in pins.iter().enumerate() {
         let journal = dir.join(format!("run{n}.journal"));
         let out = Command::new(bin())
             .arg("run")
-            .args(common_args(&dir, &["--backend", "bloom"]))
-            .args(*extra)
+            .args(common_args(&dir, args))
             .args(["--journal", &journal.display().to_string()])
             .output()
             .unwrap();
         assert!(
             out.status.success(),
-            "bloom run {extra:?} failed: {}",
+            "run {args:?} failed: {}",
             String::from_utf8_lossy(&out.stderr)
         );
         assert_eq!(
             fnv1a64(&out.stdout),
             *report_fnv,
-            "the Bloom report {extra:?} drifted from its pin:\n{}",
+            "the report of {args:?} drifted from its pin:\n{}",
             String::from_utf8_lossy(&out.stdout)
         );
         let journal_bytes = std::fs::read(&journal).unwrap();
         assert_eq!(
             fnv1a64(&journal_bytes),
             *journal_fnv,
-            "the Bloom journal {extra:?} drifted from its pin ({} bytes)",
+            "the journal of {args:?} drifted from its pin ({} bytes)",
             journal_bytes.len()
+        );
+    }
+}
+
+/// Bar 1: every in-process Paillier shape behind the `Comparator` trait
+/// reproduces its pinned build byte for byte — report and journal both.
+#[test]
+fn paillier_behind_the_trait_matches_the_seed_digests() {
+    assert_pinned("seed", &PAILLIER_PINS);
+}
+
+/// Bar 4: the in-process Bloom backend reproduces the pinned report and
+/// journal bytes with flipping off and with flipping on.
+#[test]
+fn bloom_in_process_matches_the_pinned_digests_with_and_without_flips() {
+    assert_pinned("bloom-pins", &BLOOM_PINS);
+}
+
+/// A flag the selected comparator never reads is refused with a message
+/// naming the flag and the backend that would read it, not ignored.
+#[test]
+fn flags_that_select_nothing_are_refused() {
+    let dir = work_dir("unread-flags");
+    synth(&dir);
+    let spellings: [(&[&str], &str); 3] = [
+        (&["--paillier", "256", "--pack"], "--pack"),
+        (&["--pack"], "--pack"),
+        (&["--clk-len", "500"], "--clk-len"),
+    ];
+    for (args, flag) in spellings {
+        let out = Command::new(bin())
+            .arg("run")
+            .args(common_args(&dir, args))
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "run {args:?} must be refused");
+        assert!(
+            stderr.contains(flag) && stderr.contains("without --backend"),
+            "run {args:?} must name {flag} and the backend that reads it, got:\n{stderr}"
         );
     }
 }
@@ -255,7 +306,15 @@ fn bloom_three_process_sigkill_resume_matches_the_local_run() {
     // below lands mid-session (the CLK exchange finishes a 288-pair walk
     // on raw loopback faster than a poll loop can observe it).
     let mut proxy = Command::new(bin())
-        .args(["chaosproxy", "--upstream", &qaddr, "--family", "delay", "--seed", "3"])
+        .args([
+            "chaosproxy",
+            "--upstream",
+            &qaddr,
+            "--family",
+            "delay",
+            "--seed",
+            "3",
+        ])
         .stderr(Stdio::piped())
         .spawn()
         .unwrap();

@@ -19,9 +19,8 @@
 //! are identical to an uninterrupted run (asserted by the kill-recovery
 //! harness in `crates/cli/tests/crash_recovery.rs`).
 
-use crate::pipeline::{check_schemas, StagedArtifacts};
+use crate::pipeline::Prepared;
 use crate::{HybridLinkage, LinkageError, LinkageOutcome};
-use pprl_anon::Anonymizer;
 use pprl_blocking::{BlockingChunk, BlockingEngine};
 use pprl_data::{DataSet, Value};
 use pprl_journal::{Fnv1a64, Frame, JournalWriter};
@@ -208,18 +207,14 @@ fn execute(
     resumed: bool,
     opts: &JournalOptions,
 ) -> Result<JournaledOutcome, LinkageError> {
-    let cfg = pipeline.config();
-    check_schemas(r, s)?;
-    let rule = cfg.rule(r.schema());
-
     // Steps 1–2 are cheap and deterministic: recompute rather than store,
     // and use the journaled tallies purely as a drift check.
-    let r_view = Anonymizer::new(cfg.method_r, cfg.k_r).anonymize(r, &cfg.qids)?;
-    let s_view = Anonymizer::new(cfg.method_s, cfg.k_s).anonymize(s, &cfg.qids)?;
+    let prepared = Prepared::new(pipeline.config(), r, s)?;
+    let (r_view, s_view) = (&prepared.r_view, &prepared.s_view);
 
-    let engine = BlockingEngine::new(rule.clone());
+    let engine = BlockingEngine::new(prepared.rule.clone());
     let per = opts.chunk_r_classes.max(1);
-    let n_chunks = engine.chunk_count(&r_view, per);
+    let n_chunks = engine.chunk_count(r_view, per);
     let progress = parse_progress(prior, n_chunks)?;
 
     // Chunks are computed across the configured workers but verified and
@@ -227,7 +222,7 @@ fn execute(
     // to a sequential run.
     let indexes: Vec<u32> = (0..n_chunks).collect();
     let computed = pprl_runtime::par_map(&indexes, pipeline.threads(), |_, &index| {
-        engine.run_chunk(&r_view, &s_view, index, per)
+        engine.run_chunk(r_view, s_view, index, per)
     });
     let mut chunks: Vec<BlockingChunk> = Vec::with_capacity(n_chunks as usize);
     for (index, result) in (0..n_chunks).zip(computed) {
@@ -246,7 +241,7 @@ fn execute(
         }
         chunks.push(chunk);
     }
-    let blocking = engine.assemble(&r_view, &s_view, chunks)?;
+    let blocking = engine.assemble(r_view, s_view, chunks)?;
     let totals = [
         blocking.total_pairs,
         blocking.matched_pairs,
@@ -272,29 +267,8 @@ fn execute(
 
     // Step 3 — SMC, restored from the newest checkpoint, replayed from the
     // outcome frames past it, then continued live.
-    let step = pipeline.smc_step();
     let restored = progress.checkpoint.as_ref().map_or(0, |c| c.invocations);
-    let mut runner = match progress.checkpoint {
-        Some(session) => step.resume(
-            session,
-            r,
-            s,
-            &r_view,
-            &s_view,
-            &blocking.unknown,
-            &rule,
-            blocking.total_pairs,
-        )?,
-        None => step.start(
-            r,
-            s,
-            &r_view,
-            &s_view,
-            &blocking.unknown,
-            &rule,
-            blocking.total_pairs,
-        )?,
-    };
+    let mut runner = prepared.start(pipeline.smc_step(), &blocking, None, progress.checkpoint)?;
     for event in progress.outcomes.iter().skip(restored as usize) {
         runner.replay_pair_event(event)?;
     }
@@ -303,40 +277,30 @@ fn execute(
     let mut live = 0u64;
     let mut since_checkpoint = 0u64;
     let threads = pipeline.threads();
+    // One pair at a time journals each outcome as it is decided: a crash
+    // re-executes at most one comparison. On several workers the batch is
+    // the checkpoint cadence instead: each batch's checkpoint then lands
+    // after exactly the same outcome count as the sequential walk's,
+    // keeping the journal byte-identical at any thread count — and a
+    // crash re-executes at most one *batch*.
+    let mut batch = 1;
     if threads > 1 && runner.parallelizable() {
         pipeline.prefill_pool(&mut runner, &blocking);
-        // Batch size = checkpoint cadence: each batch's checkpoint then
-        // lands after exactly the same outcome count as the sequential
-        // loop's, keeping the journal byte-identical at any thread
-        // count. Tradeoff vs the sequential path: a crash re-executes at
-        // most one *batch* of comparisons instead of at most one.
-        let batch = if opts.checkpoint_every > 0 {
-            opts.checkpoint_every
-        } else {
-            256
+        batch = match opts.checkpoint_every {
+            0 => 256,
+            every => every,
         };
-        loop {
-            let events = runner.step_pair_events_parallel(batch, threads)?;
-            if events.is_empty() {
-                break;
-            }
-            for event in &events {
-                journal_outcome(
-                    &mut writer,
-                    &mut runner,
-                    event,
-                    opts,
-                    &mut live,
-                    &mut since_checkpoint,
-                )?;
-            }
+    }
+    loop {
+        let events = runner.step_pair_events_parallel(batch, threads)?;
+        if events.is_empty() {
+            break;
         }
-    } else {
-        while let Some(event) = runner.step_pair_event()? {
+        for event in &events {
             journal_outcome(
                 &mut writer,
                 &mut runner,
-                &event,
+                event,
                 opts,
                 &mut live,
                 &mut since_checkpoint,
@@ -349,10 +313,8 @@ fn execute(
     }
     writer.sync()?;
 
-    let outcome =
-        pipeline.finalize(r, s, &rule, StagedArtifacts { r_view, s_view, blocking, smc });
     Ok(JournaledOutcome {
-        outcome,
+        outcome: pipeline.finalize(prepared, blocking, smc),
         resumed,
         restored_pairs: restored,
         replayed_pairs: replayed,

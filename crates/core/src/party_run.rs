@@ -36,10 +36,8 @@
 //! [`PeerChannel::commit_ack`]: pprl_net::PeerChannel::commit_ack
 
 use crate::journal_run::{self, JournalOptions};
-use crate::pipeline::{check_schemas, StagedArtifacts};
+use crate::pipeline::Prepared;
 use crate::{HybridLinkage, LinkageError, LinkageOutcome};
-use pprl_anon::Anonymizer;
-use pprl_blocking::BlockingEngine;
 use pprl_crypto::protocol::transport::ENVELOPE_OVERHEAD;
 use pprl_crypto::CostLedger;
 use pprl_data::DataSet;
@@ -50,7 +48,7 @@ use pprl_net::{
 };
 use pprl_smc::{
     DeadlineBudget, HolderBackend, HolderSide, PairDecision, PairEvent, RemoteParty, SmcError,
-    SmcMode, SmcRunner,
+    SmcMode, SmcReport, SmcRunner,
 };
 use std::collections::VecDeque;
 use std::net::SocketAddr;
@@ -230,39 +228,23 @@ pub fn run_party(
         }
         Role::Alice | Role::Bob => {
             let wire = wire_backend(pipeline)?;
-            let cfg = pipeline.config();
-            check_schemas(r, s)?;
-            let rule = cfg.rule(r.schema());
             let fp = journal_run::fingerprint(pipeline, r, s, &JournalOptions::default());
             let (progress, writer) =
                 open_party_journal(opts.journal.as_ref(), opts.resume, fp, opts.durable)?;
-            let resumed = opts.resume;
 
             // Steps 1–2, replicated deterministically by every party.
-            let r_view = Anonymizer::new(cfg.method_r, cfg.k_r).anonymize(r, &cfg.qids)?;
-            let s_view = Anonymizer::new(cfg.method_s, cfg.k_s).anonymize(s, &cfg.qids)?;
-            let blocking = BlockingEngine::new(rule.clone()).run_parallel(
-                &r_view,
-                &s_view,
-                pipeline.threads(),
-            )?;
+            let prepared = Prepared::new(pipeline.config(), r, s)?;
+            let blocking = prepared.block(pipeline.threads())?;
             let session = Session::new(fp, wire, opts);
-            let runner = pipeline.smc_step().start(
-                r,
-                s,
-                &r_view,
-                &s_view,
-                &blocking.unknown,
-                &rule,
-                blocking.total_pairs,
-            )?;
+            let runner = prepared.start(pipeline.smc_step(), &blocking, None, None)?;
+            let mode = pipeline.config().mode;
             let (ledger, stats, replayed, live) =
-                run_holder(runner, cfg.mode, &session, opts, progress, writer)?;
+                run_holder(runner, mode, &session, opts, progress, writer)?;
             Ok(PartyOutcome {
                 outcome: None,
                 ledger,
                 net: stats,
-                resumed,
+                resumed: opts.resume,
                 replayed_pairs: replayed,
                 live_pairs: live,
             })
@@ -287,32 +269,29 @@ pub(crate) fn querier_job(
     warm: Option<&pprl_crypto::Keypair>,
 ) -> Result<(PartyOutcome, Option<JournalWriter>), LinkageError> {
     let wire = wire_backend(pipeline)?;
-    let cfg = pipeline.config();
-    check_schemas(r, s)?;
-    let rule = cfg.rule(r.schema());
     let fp = journal_run::fingerprint(pipeline, r, s, &JournalOptions::default());
     let (progress, writer) =
         open_party_journal(opts.journal.as_ref(), opts.resume, fp, opts.durable)?;
-    let resumed = opts.resume;
 
-    let r_view = Anonymizer::new(cfg.method_r, cfg.k_r).anonymize(r, &cfg.qids)?;
-    let s_view = Anonymizer::new(cfg.method_s, cfg.k_s).anonymize(s, &cfg.qids)?;
-    let blocking =
-        BlockingEngine::new(rule.clone()).run_parallel(&r_view, &s_view, pipeline.threads())?;
+    let prepared = Prepared::new(pipeline.config(), r, s)?;
+    let blocking = prepared.block(pipeline.threads())?;
     let session = Session::new(fp, wire, opts);
-    let step = pipeline.smc_step();
+    // Warm-state reuse across daemon jobs: a cached keypair (keyed by the
+    // mode's Paillier parameters) skips the prime search — the expensive
+    // part of session setup.
+    let runner = prepared.start(pipeline.smc_step(), &blocking, warm, None)?;
+    let drain = !matches!(pipeline.config().deadline, DeadlineBudget::None);
 
-    let (outcome, stats, replayed, live, writer) = run_querier(
-        pipeline, r, s, &rule, r_view, s_view, blocking, step, &session, progress, writer, mux,
-        warm,
-    )?;
+    let (smc, stats, replayed, live, writer) =
+        run_querier(runner, drain, &session, progress, writer, mux)?;
+    let outcome = pipeline.finalize(prepared, blocking, smc);
     let ledger = outcome.ledger.clone();
     Ok((
         PartyOutcome {
             outcome: Some(outcome),
             ledger,
             net: stats,
-            resumed,
+            resumed: opts.resume,
             replayed_pairs: replayed,
             live_pairs: live,
         },
@@ -491,9 +470,9 @@ impl QuerierNet {
     }
 }
 
-/// [`RemoteParty`] over shared querier state, so `run_querier` keeps a
-/// handle for journal-ordered ack commits and the end-of-session ledger
-/// exchange after the runner takes ownership of the backend.
+/// [`RemoteParty`] over shared querier state: the runner's backend owns
+/// one handle, `run_querier` keeps another for journal-ordered ack commits
+/// and the end-of-session ledger exchange.
 struct SharedParty(Arc<Mutex<QuerierNet>>);
 
 impl SharedParty {
@@ -580,35 +559,17 @@ impl RemoteParty for SharedParty {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// The querying party's session over a started `runner`: journal replay,
+/// the networked pair loop, and the end-of-session ledger exchange.
+/// `drain_stragglers` is set when a deadline is armed.
 fn run_querier(
-    pipeline: &HybridLinkage,
-    r: &DataSet,
-    s: &DataSet,
-    rule: &pprl_blocking::MatchingRule,
-    r_view: pprl_anon::AnonymizedView,
-    s_view: pprl_anon::AnonymizedView,
-    blocking: pprl_blocking::BlockingOutcome,
-    step: pprl_smc::SmcStep,
+    mut runner: SmcRunner<'_>,
+    drain_stragglers: bool,
     session: &Session,
     progress: PartyProgress,
     mut writer: Option<JournalWriter>,
     mux: Arc<SessionMux>,
-    warm: Option<&pprl_crypto::Keypair>,
-) -> Result<(LinkageOutcome, NetStats, u64, u64, Option<JournalWriter>), LinkageError> {
-    // Warm-state reuse across daemon jobs: a cached keypair (keyed by the
-    // mode's Paillier parameters) skips the prime search — the expensive
-    // part of session setup.
-    let mut runner = step.start_warm(
-        r,
-        s,
-        &r_view,
-        &s_view,
-        &blocking.unknown,
-        rule,
-        blocking.total_pairs,
-        warm,
-    )?;
+) -> Result<(SmcReport, NetStats, u64, u64, Option<JournalWriter>), LinkageError> {
     // Lazy accepts: the querier must not block on either holder before it
     // knows which one will speak first. A fresh session connects both at
     // the key broadcast anyway; a *resumed* session may find Alice
@@ -642,15 +603,15 @@ fn run_querier(
     let replayed = runner.replayed_pairs();
     let mut watermark = progress.watermark();
 
-    let net = Arc::new(Mutex::new(QuerierNet {
+    let net = SharedParty(Arc::new(Mutex::new(QuerierNet {
         alice,
         bob,
         restored_broadcast: progress.key.is_some(),
         fail_on_silence: session.fail_on_silence,
         pending: None,
-    }));
+    })));
     let before_key = runner.ledger().clone();
-    runner.connect_remote(Box::new(SharedParty(Arc::clone(&net))))?;
+    runner.connect_remote(Box::new(SharedParty(Arc::clone(&net.0))))?;
     // The key frame exists for the Paillier broadcast; the CLK exchange
     // has no session-setup message, so its journal holds pair frames
     // only — a resumed bloom job must replay to the same bytes a clean
@@ -672,9 +633,7 @@ fn run_querier(
     // touches this link (claiming eagerly here would deadlock on Alice,
     // whose next querier operation is the end-of-run ledger send).
     if session.wire == Backend::Bloom && progress.pairs.is_empty() {
-        let mut guard = net
-            .lock()
-            .map_err(|_| LinkageError::Net("querier net state poisoned".into()))?;
+        let mut guard = net.lock()?;
         let fresh = &mut *guard;
         fresh.alice.ensure_connected().map_err(net_err)?;
         fresh.bob.ensure_connected().map_err(net_err)?;
@@ -688,13 +647,9 @@ fn run_querier(
         };
         live += 1;
         let delta = delta_of(runner.ledger(), &before)?;
-        let guard = net
-            .lock()
-            .map_err(|_| LinkageError::Net("querier net state poisoned".into()))?;
-        if let Some(pending) = &guard.pending {
+        if let Some(pending) = &net.lock()?.pending {
             watermark = pending.pair_id;
         }
-        drop(guard);
         // Journal, then release Bob's ack: a crash between the two is
         // healed by Bob retransmitting into the restored dedup screen.
         append(
@@ -702,9 +657,7 @@ fn run_querier(
             K_PARTY_PAIR,
             &encode_pair_frame(watermark, &event, &delta),
         )?;
-        net.lock()
-            .map_err(|_| LinkageError::Net("querier net state poisoned".into()))?
-            .commit();
+        net.lock()?.commit();
     }
     if let Some(w) = writer.as_mut() {
         w.sync()?;
@@ -712,11 +665,9 @@ fn run_querier(
 
     // Session end: both holders ship their ledgers home; merged, the
     // report must equal the single-process run's.
-    let mut guard = net
-        .lock()
-        .map_err(|_| LinkageError::Net("querier net state poisoned".into()))?;
+    let mut guard = net.lock()?;
     guard.commit();
-    if !matches!(pipeline.config().deadline, DeadlineBudget::None) {
+    if drain_stragglers {
         // A deadline is the querier's alone: the holders walk their full
         // deterministic pair sequence regardless. Drain their stragglers
         // off-ledger so they reach their own send_ledger instead of
@@ -736,9 +687,7 @@ fn run_querier(
     runner.absorb_remote_costs(&alice_ledger);
     runner.absorb_remote_costs(&bob_ledger);
 
-    let smc = runner.finish();
-    let outcome = pipeline.finalize(r, s, rule, StagedArtifacts { r_view, s_view, blocking, smc });
-    Ok((outcome, stats, replayed, live, writer))
+    Ok((runner.finish(), stats, replayed, live, writer))
 }
 
 // ---------------------------------------------------------------------------
@@ -943,9 +892,12 @@ fn run_holder(
     let mut ledger = progress.restored_ledger();
     let restored_watermark = progress.watermark();
     let replayed = progress.pairs.len() as u64;
-    let mut backend = HolderBackend::open(mode, side, || match &progress.key {
-        Some((_, bytes)) => Ok(bytes.clone()),
-        None => recv_key_broadcast(&mut querier, &mut ledger, &mut writer),
+    let mut backend = HolderBackend::open(mode, side, || {
+        let key_message = match &progress.key {
+            Some((_, bytes)) => bytes.clone(),
+            None => recv_key_broadcast(&mut querier, &mut ledger, &mut writer)?,
+        };
+        pprl_smc::holder::key_from_message(&key_message).map_err(LinkageError::from)
     })?;
 
     let mut links = match side {
@@ -973,7 +925,7 @@ fn run_holder(
         let before = ledger.clone();
         let incoming = links.recv_upstream(ordinal, session.policy.deadline)?;
         let alice_payload = incoming.as_ref().map(|i| i.payload.as_slice());
-        let message = backend.message(&runner, &pair, alice_payload, &mut ledger)?;
+        let message = backend.message(&runner.compare_ctx(), &pair, alice_payload, &mut ledger)?;
         links.down.submit_data(ordinal, &message);
         if incoming.is_some() {
             // Alice's ack is metered in this pair's delta now; the wire

@@ -10,7 +10,7 @@ use pprl_crypto::CostLedger;
 use pprl_data::DataSet;
 use pprl_hierarchy::Vgh;
 use pprl_smc::expected::expected_vector;
-use pprl_smc::{label_leftovers, SmcReport, SmcStep};
+use pprl_smc::{label_leftovers, SmcReport, SmcRunner, SmcSession, SmcStep};
 
 /// The configured pipeline.
 #[derive(Clone, Debug)]
@@ -71,13 +71,66 @@ impl LinkageOutcome {
     }
 }
 
-/// The mid-pipeline products of steps 1–3 (anonymization, blocking, SMC)
-/// that [`HybridLinkage::finalize`] scores and assembles into an outcome.
-pub(crate) struct StagedArtifacts {
+/// The front end every driver shares (in-process, journaled, and each
+/// party of a networked session): schemas checked, the matching rule
+/// resolved, both holders' views published. Blocking and the SMC session
+/// start from here.
+pub(crate) struct Prepared<'a> {
+    r: &'a DataSet,
+    s: &'a DataSet,
+    pub(crate) rule: MatchingRule,
     pub(crate) r_view: AnonymizedView,
     pub(crate) s_view: AnonymizedView,
-    pub(crate) blocking: BlockingOutcome,
-    pub(crate) smc: SmcReport,
+}
+
+impl<'a> Prepared<'a> {
+    /// Step 1 — each holder anonymizes independently (§III).
+    pub(crate) fn new(
+        cfg: &LinkageConfig,
+        r: &'a DataSet,
+        s: &'a DataSet,
+    ) -> Result<Self, LinkageError> {
+        check_schemas(r, s)?;
+        Ok(Prepared {
+            r,
+            s,
+            rule: cfg.rule(r.schema()),
+            r_view: Anonymizer::new(cfg.method_r, cfg.k_r).anonymize(r, &cfg.qids)?,
+            s_view: Anonymizer::new(cfg.method_s, cfg.k_s).anonymize(s, &cfg.qids)?,
+        })
+    }
+
+    /// Step 2 — blocking on the published views, chunked across `threads`
+    /// workers; byte-identical to the sequential scan.
+    pub(crate) fn block(&self, threads: usize) -> Result<BlockingOutcome, LinkageError> {
+        Ok(BlockingEngine::new(self.rule.clone()).run_parallel(
+            &self.r_view,
+            &self.s_view,
+            threads,
+        )?)
+    }
+
+    /// Step 3 — the SMC session over `blocking`'s unknown class pairs:
+    /// revived from `checkpoint` when there is one, otherwise fresh
+    /// (reusing `warm`'s key pair instead of generating one).
+    pub(crate) fn start(
+        &self,
+        step: SmcStep,
+        blocking: &BlockingOutcome,
+        warm: Option<&pprl_crypto::Keypair>,
+        checkpoint: Option<SmcSession>,
+    ) -> Result<SmcRunner<'_>, LinkageError> {
+        let (r_view, s_view) = (&self.r_view, &self.s_view);
+        let (unknown, total) = (&blocking.unknown[..], blocking.total_pairs);
+        Ok(match checkpoint {
+            Some(session) => step.resume(
+                session, self.r, self.s, r_view, s_view, unknown, &self.rule, total,
+            )?,
+            None => step.start_warm(
+                self.r, self.s, r_view, s_view, unknown, &self.rule, total, warm,
+            )?,
+        })
+    }
 }
 
 impl HybridLinkage {
@@ -107,52 +160,23 @@ impl HybridLinkage {
 
     /// Runs the full protocol simulation of `r` against `s`.
     pub fn run(&self, r: &DataSet, s: &DataSet) -> Result<LinkageOutcome, LinkageError> {
-        let cfg = &self.config;
-        check_schemas(r, s)?;
-        let schema = r.schema();
-        let rule = cfg.rule(schema);
-
-        // Step 1 — each holder anonymizes independently (§III).
-        let r_view =
-            Anonymizer::new(cfg.method_r, cfg.k_r).anonymize(r, &cfg.qids)?;
-        let s_view =
-            Anonymizer::new(cfg.method_s, cfg.k_s).anonymize(s, &cfg.qids)?;
-
-        // Step 2 — blocking on the published views (chunked across the
-        // configured workers; byte-identical to the sequential scan).
-        let blocking =
-            BlockingEngine::new(rule.clone()).run_parallel(&r_view, &s_view, self.threads)?;
-
-        // Step 3 — SMC step under the allowance.
-        let step = self.smc_step();
-        let mut runner = step.start(
-            r,
-            s,
-            &r_view,
-            &s_view,
-            &blocking.unknown,
-            &rule,
-            blocking.total_pairs,
-        )?;
+        let prepared = Prepared::new(&self.config, r, s)?;
+        let blocking = prepared.block(self.threads)?;
+        let mut runner = prepared.start(self.smc_step(), &blocking, None, None)?;
         if self.threads > 1 {
             self.prefill_pool(&mut runner, &blocking);
         }
         runner.run_to_completion_parallel(self.threads)?;
         let smc = runner.finish();
-
-        Ok(self.finalize(r, s, &rule, StagedArtifacts { r_view, s_view, blocking, smc }))
+        Ok(self.finalize(prepared, blocking, smc))
     }
 
     /// Sizes and attaches the shared Paillier randomizer pool for a
     /// parallel run: enough `rⁿ mod n²` values for the expected
     /// encryption demand, capped so over-provisioning never costs more
     /// exponentiations than the run performs. A no-op in oracle mode or
-    /// under a transported channel (the runner declines the pool).
-    pub(crate) fn prefill_pool(
-        &self,
-        runner: &mut pprl_smc::SmcRunner<'_>,
-        blocking: &BlockingOutcome,
-    ) {
+    /// over the simulated link (the runner declines the pool).
+    pub(crate) fn prefill_pool(&self, runner: &mut SmcRunner<'_>, blocking: &BlockingOutcome) {
         let cfg = &self.config;
         let seed = match cfg.mode {
             pprl_smc::SmcMode::Paillier { seed, .. }
@@ -189,12 +213,18 @@ impl HybridLinkage {
     /// journaled runner so both paths score identically.
     pub(crate) fn finalize(
         &self,
-        r: &DataSet,
-        s: &DataSet,
-        rule: &MatchingRule,
-        staged: StagedArtifacts,
+        prepared: Prepared<'_>,
+        blocking: BlockingOutcome,
+        smc: SmcReport,
     ) -> LinkageOutcome {
-        let StagedArtifacts { r_view, s_view, blocking, smc } = staged;
+        let Prepared {
+            r,
+            s,
+            rule,
+            r_view,
+            s_view,
+        } = prepared;
+        let rule = &rule;
         let cfg = &self.config;
         let schema = r.schema();
 
@@ -379,7 +409,7 @@ fn count_suppressed_matches(
     count
 }
 
-pub(crate) fn check_schemas(r: &DataSet, s: &DataSet) -> Result<(), LinkageError> {
+fn check_schemas(r: &DataSet, s: &DataSet) -> Result<(), LinkageError> {
     let (a, b) = (r.schema(), s.schema());
     if a.arity() != b.arity() {
         return Err(LinkageError::SchemaMismatch);

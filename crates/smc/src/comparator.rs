@@ -17,7 +17,8 @@
 //! * **Bloom** ([`crates/bloom`](pprl_bloom)) — q-gram CLK encodings
 //!   compared by Dice coefficient with optional ε-DP bit flipping.
 //!   Decisions are approximate; each record is hashed once per job
-//!   ([`ClkBank`]) and a pair costs one word-parallel Dice tally.
+//!   ([`ClkBank`](crate::ClkBank)) and a pair costs one word-parallel
+//!   Dice tally.
 //!
 //! The backend choice is *fingerprinted*: it is part of [`SmcMode`],
 //! whose `Debug` rendering feeds the job fingerprint that the run
@@ -27,43 +28,64 @@
 //! other with a typed error *before* the fingerprint comparison, not
 //! with a generic drift message.
 //!
-//! Ledger contract (the invariant every backend upholds): a local
-//! backend records exactly the messages and ack envelopes the
-//! distributed deployment of the same mode records across all three
-//! parties, so the single-process report and the merged three-process
-//! report are byte-identical.
+//! One comparator per *idea* — `OracleComparator`,
+//! `PerAttributePaillier` (early exit on the first failing attribute),
+//! `PaillierComparator` (the batched exchange, scalar or packed) and
+//! `ClkComparator` — never per deployment shape. Each exchange has
+//! three steps: Alice's message and Bob's reply exist only in
+//! [`holder`](crate::holder), the querying party's reveal only here. Where
+//! Alice and Bob live is data (`Peers`): in this process, in this
+//! process behind the simulated link, or behind a [`RemoteParty`]; a
+//! backend's `compare` is written once: trivial-pair test, next pair id,
+//! Bob's reply — from the two holders' steps in process (each message
+//! hopping the link when there is one), or from the remote party — and
+//! the reveal.
+//!
+//! Ledger contract — three ledgers, stated as they are:
+//!
+//! * **`Here`** records the two messages of a pair and nothing else for
+//!   Paillier (no ack, no key broadcast: an unmetered hand-off), and for
+//!   CLK additionally the two journaled acks, so the in-process CLK report
+//!   equals the three-process one.
+//! * **`Here` + link** records what the deployment records across all
+//!   three parties — key broadcast, messages, ack envelopes — plus the
+//!   link's retry tallies, so at fault rate 0 the single-process report
+//!   and the merged three-process report are byte-identical.
+//! * **`Remote`** records the querying party's share only (key messages,
+//!   one ack per received reply); the holders meter their own steps and
+//!   ship their ledgers home, and the three sum to the `Here` + link
+//!   ledger.
 
-use crate::clk_bank::ClkBank;
 use crate::executor::{
-    batch_encode, encode_attribute, ChannelConfig, CompareOutcome, RemoteParty, SmcMode,
+    batch_encode, encode_attribute, BatchEncoding, ChannelConfig, CompareOutcome, RemoteParty,
+    SmcMode,
 };
+use crate::holder::{key_from_message, HolderBackend, HolderSide};
 use crate::SmcError;
 use pprl_blocking::{records_match, AttrDistance, MatchingRule};
 use pprl_bloom::wire as clk_wire;
-use pprl_bloom::{dice_match, ClkParams, DiceCounts, SIDE_A, SIDE_B};
+use pprl_bloom::{dice_match, ClkParams, DiceCounts};
 use pprl_crypto::paillier::Keypair;
 use pprl_crypto::protocol::message::ProtocolMessage;
 use pprl_crypto::protocol::retry::{ReliableLink, RetryPolicy};
 use pprl_crypto::protocol::transport::{
-    FaultStats, FaultyTransport, LocalTransport, PartyId, TransportError, ENVELOPE_OVERHEAD,
+    FaultStats, FaultyTransport, LocalTransport, PartyId, ENVELOPE_OVERHEAD,
 };
-use pprl_crypto::protocol::{
-    alice_record_message, bob_reply, querier_reveal, secure_threshold_match,
-    validate_packable_values, DataHolder,
-};
-use pprl_crypto::CostLedger;
+use pprl_crypto::protocol::{querier_reveal, secure_threshold_match};
+use pprl_crypto::{CostLedger, RandomizerPool};
 use pprl_data::{Record, Value};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
+use std::fmt;
 
 /// Pair id reserved for the public-key broadcast.
-pub(crate) const KEY_BROADCAST_PAIR_ID: u64 = 0;
+const KEY_BROADCAST_PAIR_ID: u64 = 0;
 
 /// Minimum retry budget for the key broadcast. Losing the broadcast kills
 /// the whole session (no shared key ⇒ no degraded continuation), while a
 /// lost record pair merely degrades recall — so session setup is allowed a
 /// more generous budget than individual pairs.
-pub(crate) const KEY_BROADCAST_MIN_RETRIES: u32 = 16;
+const KEY_BROADCAST_MIN_RETRIES: u32 = 16;
 
 /// Everything a backend may read about the job, borrowed per call so
 /// backends stay plain data: the schema, the matching rule, the per-QID
@@ -77,6 +99,24 @@ pub struct CompareCtx<'a> {
     pub norms: &'a [f64],
     /// Quasi-identifier attribute indices.
     pub qids: &'a [usize],
+}
+
+/// One record pair as a backend reads it — on the querying party's side
+/// of the seam and on the holders': Alice's step takes the R side, Bob's
+/// the S side. `ri`/`si` key any per-pair deterministic randomness (DP
+/// flip streams).
+pub struct PairView<'a> {
+    /// Row in R.
+    pub ri: u32,
+    /// Row in S.
+    pub si: u32,
+    /// The R record.
+    pub r: &'a Record,
+    /// The S record.
+    pub s: &'a Record,
+    /// The batched integer encoding, once a batched Paillier session has
+    /// found the pair non-trivial.
+    pub(crate) encoded: Option<BatchEncoding>,
 }
 
 /// End-of-run backend accounting, surfaced on
@@ -101,46 +141,38 @@ pub struct ComparatorStats {
 /// `Send + Sync` so forked instances can ride the parallel executor's
 /// scoped workers.
 pub trait Comparator: Send + Sync {
-    /// Stable backend family name for reports, metrics, and handshakes.
-    fn backend_name(&self) -> &'static str;
-
     /// Compares one record pair, recording its full wire cost into
-    /// `ledger`. `ri`/`si` are the pair's row indices — the keys of any
-    /// per-pair deterministic randomness (DP flip streams).
+    /// `ledger`.
     fn compare(
         &mut self,
         ctx: &CompareCtx<'_>,
-        ri: u32,
-        si: u32,
-        r: &Record,
-        s: &Record,
+        pair: PairView<'_>,
         ledger: &mut CostLedger,
     ) -> Result<CompareOutcome, SmcError>;
 
     /// An independent instance for parallel worker `worker`, or `None`
-    /// when the backend is inherently sequential (link-sequenced or
-    /// keeping live counters the merge would lose).
+    /// when the backend is inherently sequential (link-sequenced, remote,
+    /// or keeping live counters the merge would lose).
     fn fork(&self, worker: u64) -> Option<Box<dyn Comparator>> {
         let _ = worker;
         None
     }
 
     /// Whether [`fork`](Self::fork) can succeed — gates the parallel
-    /// executor without constructing a throwaway instance.
+    /// executor (a probe fork is a few clones, once per batch).
     fn forkable(&self) -> bool {
-        false
+        self.fork(0).is_some()
     }
 
-    /// Converts this backend into its networked counterpart: performs
-    /// whatever session setup the wire protocol needs (the Paillier key
-    /// broadcast; nothing for CLK) and returns the backend that will
-    /// drive the remote exchange. Backends without a wire protocol
-    /// refuse.
+    /// Moves the data holders behind `party`: performs whatever session
+    /// setup the wire protocol needs (the Paillier key broadcast; nothing
+    /// for CLK) and from then on obtains Bob's replies through it.
+    /// Backends without a wire protocol refuse.
     fn connect_remote(
         &mut self,
         party: Box<dyn RemoteParty>,
         ledger: &mut CostLedger,
-    ) -> Result<Box<dyn Comparator>, SmcError> {
+    ) -> Result<(), SmcError> {
         let _ = (party, ledger);
         Err(SmcError::Internal(
             "this backend has no networked wire protocol",
@@ -154,14 +186,10 @@ pub trait Comparator: Send + Sync {
         false
     }
 
-    /// Injected-fault tally since the last harvest (`None` off-transport).
-    fn take_fault_stats(&mut self) -> Option<FaultStats> {
+    /// The simulated link's injected-fault tally and virtual backoff since
+    /// the last harvest (`None` off the link).
+    fn take_link_telemetry(&mut self) -> Option<(FaultStats, u64)> {
         None
-    }
-
-    /// Virtual backoff accumulated since the last harvest.
-    fn take_virtual_backoff_ms(&mut self) -> u64 {
-        0
     }
 
     /// Live `(clk_bits_exchanged, dp_flips)` counters; zeros off-bloom.
@@ -170,9 +198,7 @@ pub trait Comparator: Send + Sync {
     }
 }
 
-/// Builds the backend for `mode`, mirroring the historical mode ×
-/// channel dispatch exactly (so every pre-trait configuration constructs
-/// the same backend state it always did).
+/// Builds the backend for `mode` × `channel`.
 pub(crate) fn build(
     mode: SmcMode,
     channel: Option<ChannelConfig>,
@@ -180,42 +206,8 @@ pub(crate) fn build(
     ledger: &mut CostLedger,
     warm: Option<&Keypair>,
 ) -> Result<Box<dyn Comparator>, SmcError> {
-    // A warm keypair skips the prime search but leaves the backend
-    // RNG freshly seeded instead of post-generation, so encryption
-    // randomness differs from a cold start. Decisions, message sizes,
-    // and therefore the cost ledger are randomness-independent.
-    let fresh = |warm: Option<&Keypair>, modulus_bits: usize, seed: u64| {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let keys = match warm {
-            Some(k) => k.clone(),
-            None => Keypair::generate(&mut rng, modulus_bits),
-        };
-        (keys, rng)
-    };
-    match mode {
-        SmcMode::Oracle => Ok(Box::new(OracleComparator)),
-        SmcMode::Paillier { modulus_bits, seed }
-        | SmcMode::PaillierBatched {
-            modulus_bits, seed, ..
-        } => {
-            // The integer protocol cannot evaluate edit distance.
-            if rule.distances.contains(&AttrDistance::NormalizedEdit) {
-                return Err(SmcError::UnsupportedDistance("NormalizedEdit"));
-            }
-            match (mode, channel) {
-                (SmcMode::PaillierBatched { pack, .. }, Some(ch)) => Ok(Box::new(
-                    TransportedPaillier::connect(modulus_bits, seed, pack, ch, ledger)?,
-                )),
-                (SmcMode::PaillierBatched { pack, .. }, None) => {
-                    let (keys, rng) = fresh(warm, modulus_bits, seed);
-                    Ok(Box::new(BatchedPaillier { keys, rng, pack }))
-                }
-                _ => {
-                    let (keys, rng) = fresh(warm, modulus_bits, seed);
-                    Ok(Box::new(PerAttributePaillier { keys, rng }))
-                }
-            }
-        }
+    let (modulus_bits, seed) = match mode {
+        SmcMode::Oracle => return Ok(Box::new(OracleComparator)),
         SmcMode::Bloom { params } => {
             params.validate().map_err(SmcError::Internal)?;
             if channel.is_some() {
@@ -224,14 +216,40 @@ pub(crate) fn build(
                      it has no simulated-channel mode",
                 ));
             }
-            Ok(Box::new(ClkComparator {
+            return Ok(Box::new(ClkComparator {
                 params,
-                alice: ClkBank::new(params, SIDE_A),
-                bob: ClkBank::new(params, SIDE_B),
+                peers: Peers::here(mode, None, None, ledger)?,
+                next_pair_id: 0,
                 bits: 0,
                 flips: 0,
-            }))
+            }));
         }
+        SmcMode::Paillier { modulus_bits, seed }
+        | SmcMode::PaillierBatched {
+            modulus_bits, seed, ..
+        } => (modulus_bits, seed),
+    };
+    // The integer protocol cannot evaluate edit distance.
+    if rule.distances.contains(&AttrDistance::NormalizedEdit) {
+        return Err(SmcError::UnsupportedDistance("NormalizedEdit"));
+    }
+    // A warm keypair skips the prime search but leaves the backend
+    // RNG freshly seeded instead of post-generation, so encryption
+    // randomness differs from a cold start. Decisions, message sizes,
+    // and therefore the cost ledger are randomness-independent.
+    let mut rng = StdRng::seed_from_u64(seed);
+    let keys = match warm {
+        Some(k) => k.clone(),
+        None => Keypair::generate(&mut rng, modulus_bits),
+    };
+    match mode {
+        SmcMode::PaillierBatched { pack, .. } => Ok(Box::new(PaillierComparator {
+            peers: Peers::here(mode, Some(&keys), channel, ledger)?,
+            keys,
+            pack,
+            next_pair_id: KEY_BROADCAST_PAIR_ID,
+        })),
+        _ => Ok(Box::new(PerAttributePaillier { keys, rng })),
     }
 }
 
@@ -249,6 +267,110 @@ pub fn clk_record_fields(qids: &[usize], rec: &Record) -> Vec<String> {
 }
 
 // ---------------------------------------------------------------------------
+// Where the data holders live
+// ---------------------------------------------------------------------------
+
+/// The PR 1 simulated network: seq/ack/dedup/retry over injected faults.
+type SimLink = ReliableLink<FaultyTransport<LocalTransport>>;
+
+/// Where Alice and Bob live for this session. One value per session,
+/// inside the boxed comparator, and the large variant is the hot one:
+/// boxing it would only add a pointer chase per pair. No `Debug`: it
+/// holds both holders' key copies, RNGs and filter banks.
+#[allow(clippy::large_enum_variant)]
+enum Peers {
+    /// In this process. With a `link`, every message (and the key
+    /// broadcast before them) crosses the simulated network in wire form
+    /// and is metered as the deployment meters it; without, typed
+    /// messages are handed from one holder to the other.
+    Here {
+        alice: HolderBackend,
+        bob: HolderBackend,
+        link: Option<SimLink>,
+    },
+    /// In their own processes, behind the querying party's network hook.
+    Remote(Box<dyn RemoteParty>),
+}
+
+impl Peers {
+    /// Both holders of `mode` in this process, behind the simulated
+    /// network when a `channel` is configured. Handed over, a Paillier
+    /// holder gets a clone of the querying party's public key; over the
+    /// link the key is broadcast to it — message, retries and ack all
+    /// metered, under a retry budget of at least
+    /// [`KEY_BROADCAST_MIN_RETRIES`] — and it installs what it received.
+    /// CLK holders (`keys` is `None`) need no key either way.
+    fn here(
+        mode: SmcMode,
+        keys: Option<&Keypair>,
+        channel: Option<ChannelConfig>,
+        ledger: &mut CostLedger,
+    ) -> Result<Peers, SmcError> {
+        let mut link = channel.map(|ch| {
+            let transport = FaultyTransport::new(LocalTransport::new(), ch.faults, ch.seed);
+            ReliableLink::new(transport, ch.retry, ch.seed ^ 0x9e37_79b9_7f4a_7c15)
+        });
+        let mut open = |side, to| {
+            HolderBackend::open(mode, side, || {
+                let keys = keys.ok_or(SmcError::Internal("a Paillier holder needs a key"))?;
+                let (Some(link), Some(ch)) = (&mut link, channel) else {
+                    return Ok(keys.public().clone());
+                };
+                let policy = RetryPolicy {
+                    max_retries: ch.retry.max_retries.max(KEY_BROADCAST_MIN_RETRIES),
+                    ..ch.retry
+                };
+                let key_msg = key_message(keys);
+                ledger.record_message(key_msg.len());
+                let id = KEY_BROADCAST_PAIR_ID;
+                let delivered =
+                    link.deliver_with(policy, PartyId::Querier, to, id, key_msg, ledger)?;
+                key_from_message(&delivered)
+            })
+        };
+        let alice = open(HolderSide::Alice, PartyId::Alice)?;
+        let bob = open(HolderSide::Bob, PartyId::Bob)?;
+        Ok(Peers::Here { alice, bob, link })
+    }
+
+    /// Per-worker copies of both holders; only an unlinked in-process
+    /// session forks (a link sequences frames serially, a socket is one
+    /// conversation).
+    fn fork(&self, worker: u64) -> Option<Peers> {
+        let Peers::Here {
+            alice,
+            bob,
+            link: None,
+        } = self
+        else {
+            return None;
+        };
+        Some(Peers::Here {
+            alice: alice.fork(worker)?,
+            bob: bob.fork(worker)?,
+            link: None,
+        })
+    }
+}
+
+/// Carries `message` across the simulated link when there is one (acked
+/// and retried); `None` once the link's retries are spent.
+fn hop(
+    link: &mut Option<SimLink>,
+    from: PartyId,
+    to: PartyId,
+    pair_id: u64,
+    message: Vec<u8>,
+    ledger: &mut CostLedger,
+) -> Option<Vec<u8>> {
+    match link {
+        None => Some(message),
+        // Exhausting its retries is the only way the link fails a delivery.
+        Some(link) => link.deliver(from, to, pair_id, message, ledger).ok(),
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Oracle
 // ---------------------------------------------------------------------------
 
@@ -256,69 +378,60 @@ pub fn clk_record_fields(qids: &[usize], rec: &Record) -> Vec<String> {
 pub(crate) struct OracleComparator;
 
 impl Comparator for OracleComparator {
-    fn backend_name(&self) -> &'static str {
-        "oracle"
-    }
-
     fn compare(
         &mut self,
         ctx: &CompareCtx<'_>,
-        _ri: u32,
-        _si: u32,
-        r: &Record,
-        s: &Record,
+        pair: PairView<'_>,
         _ledger: &mut CostLedger,
     ) -> Result<CompareOutcome, SmcError> {
         Ok(CompareOutcome::Decided(records_match(
-            ctx.schema, ctx.qids, ctx.rule, r, s,
+            ctx.schema, ctx.qids, ctx.rule, pair.r, pair.s,
         )))
     }
 
     fn fork(&self, _worker: u64) -> Option<Box<dyn Comparator>> {
         Some(Box::new(OracleComparator))
     }
-
-    fn forkable(&self) -> bool {
-        true
-    }
 }
 
 // ---------------------------------------------------------------------------
-// Paillier (in-process)
+// Paillier
 // ---------------------------------------------------------------------------
 
 /// Re-derives a worker RNG from a backend's stream mixed with the worker
 /// index, so forked workers draw distinct encryption randomness.
-fn fork_rng(rng: &StdRng, worker: u64) -> StdRng {
+pub(crate) fn fork_rng(rng: &StdRng, worker: u64) -> StdRng {
     let mut probe = rng.clone();
     let base = probe.next_u64();
     let mix = worker.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17);
     StdRng::seed_from_u64(base ^ mix)
 }
 
+/// The querying party's key-broadcast message.
+fn key_message(keys: &Keypair) -> Vec<u8> {
+    let n = keys.public().n().clone();
+    ProtocolMessage::PublicKey { n }.encode().to_vec()
+}
+
 /// Per-attribute masked comparisons with early exit on the first failing
-/// attribute (fewest exponentiations).
+/// attribute (fewest exponentiations): a third of the batched exchange's
+/// time at 1024 bits, so an idea of its own — but one with no message
+/// per pair, hence no wire protocol and no `Peers`.
 pub(crate) struct PerAttributePaillier {
     keys: Keypair,
     rng: StdRng,
 }
 
 impl Comparator for PerAttributePaillier {
-    fn backend_name(&self) -> &'static str {
-        "paillier"
-    }
-
     fn compare(
         &mut self,
         ctx: &CompareCtx<'_>,
-        _ri: u32,
-        _si: u32,
-        r: &Record,
-        s: &Record,
+        pair: PairView<'_>,
         ledger: &mut CostLedger,
     ) -> Result<CompareOutcome, SmcError> {
         for (pos, &q) in ctx.qids.iter().enumerate() {
-            let (a, b, t) = encode_attribute(ctx.rule, pos, r.value(q), s.value(q), ctx.norms)?;
+            let (rv, sv) = (pair.r.value(q), pair.s.value(q));
+            let (a, b, t) = encode_attribute(ctx.rule, pos, rv, sv, ctx.norms)?;
             if t == u64::MAX {
                 continue; // θ ≥ 1: attribute can never fail
             }
@@ -345,285 +458,115 @@ impl Comparator for PerAttributePaillier {
         }))
     }
 
-    fn forkable(&self) -> bool {
-        true
-    }
-
     fn prefill_randomizers(&mut self, count: usize, threads: usize, seed: u64) -> bool {
-        let pool = pprl_crypto::RandomizerPool::prefill(self.keys.public(), count, threads, seed);
+        let pool = RandomizerPool::prefill(self.keys.public(), count, threads, seed);
         self.keys.attach_pool(pool).is_ok()
     }
 }
 
-/// Batched record-level exchange: exactly two framed messages per
-/// non-trivial record pair.
-pub(crate) struct BatchedPaillier {
+/// The batched record-level exchange (§V-A): exactly two messages per
+/// non-trivial record pair, Bob's reply scalar or slot-packed. The
+/// querying party's state is the key pair and the non-trivial-pair
+/// counter; ciphertext production is the holders', wherever they are.
+pub(crate) struct PaillierComparator {
     keys: Keypair,
-    rng: StdRng,
+    /// Whether Bob's replies are slot-packed (the fingerprint guarantees
+    /// all three parties agree on this).
     pack: bool,
+    peers: Peers,
+    next_pair_id: u64,
 }
 
-impl Comparator for BatchedPaillier {
-    fn backend_name(&self) -> &'static str {
-        "paillier"
+// pprl:allow(secret-leak): redacting impl — shape only, never the key pair or the holders' state
+impl fmt::Debug for PaillierComparator {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PaillierComparator")
+            .field("pack", &self.pack)
+            .finish_non_exhaustive()
     }
+}
 
+impl Comparator for PaillierComparator {
     fn compare(
         &mut self,
         ctx: &CompareCtx<'_>,
-        _ri: u32,
-        _si: u32,
-        r: &Record,
-        s: &Record,
+        mut pair: PairView<'_>,
         ledger: &mut CostLedger,
     ) -> Result<CompareOutcome, SmcError> {
-        let Some((a_vals, b_vals, thresholds)) =
-            batch_encode(ctx.rule, ctx.qids, r, s, ctx.norms)?
-        else {
+        // Every party replicates this same deterministic encoding; a
+        // trivial pair is decided locally on every side without a single
+        // byte crossing the wire, and gets no pair id.
+        pair.encoded = batch_encode(ctx, pair.r, pair.s)?;
+        if pair.encoded.is_none() {
             return Ok(CompareOutcome::Decided(true));
-        };
-        if self.pack {
-            // Alice's own-value bound check (Bob cannot verify it).
-            validate_packable_values(&a_vals)?;
         }
-        let m_alice = alice_record_message(self.keys.public(), &a_vals, &mut self.rng, ledger)?;
-        let m_bob = bob_reply(
-            self.keys.public(),
-            &m_alice,
-            &b_vals,
-            &thresholds,
-            self.pack,
-            &mut self.rng,
-            ledger,
-        )?;
-        let decided = querier_reveal(self.keys.private(), &m_bob, self.pack, ledger)?;
+        self.next_pair_id += 1;
+        let pair_id = self.next_pair_id;
+        let reply = match &mut self.peers {
+            Peers::Here { alice, bob, link } => {
+                let message = alice.ciphertexts(&pair, None, ledger)?;
+                let Some(message) =
+                    hop(link, PartyId::Alice, PartyId::Bob, pair_id, message, ledger)
+                else {
+                    return Ok(CompareOutcome::Abandoned);
+                };
+                // The envelope checksum guarantees the payload arrived
+                // intact, so a decode failure in Bob's step is a real
+                // protocol bug — propagate it rather than degrade.
+                let reply = bob.ciphertexts(&pair, Some(&message), ledger)?;
+                hop(link, PartyId::Bob, PartyId::Querier, pair_id, reply, ledger)
+            }
+            Peers::Remote(party) => party.bob_message(pair_id, ledger)?,
+        };
+        let Some(reply) = reply else {
+            return Ok(CompareOutcome::Abandoned);
+        };
+        let decided = querier_reveal(self.keys.private(), &reply, self.pack, ledger)?;
         Ok(CompareOutcome::Decided(decided))
     }
 
     fn fork(&self, worker: u64) -> Option<Box<dyn Comparator>> {
-        Some(Box::new(BatchedPaillier {
+        Some(Box::new(PaillierComparator {
+            peers: self.peers.fork(worker)?,
             keys: self.keys.clone(),
-            rng: fork_rng(&self.rng, worker),
             pack: self.pack,
+            next_pair_id: self.next_pair_id,
         }))
     }
 
-    fn forkable(&self) -> bool {
-        true
-    }
-
+    /// One pool, attached to every copy of the key that encrypts: the
+    /// querying party's own copy only ever decrypts.
     fn prefill_randomizers(&mut self, count: usize, threads: usize, seed: u64) -> bool {
-        let pool = pprl_crypto::RandomizerPool::prefill(self.keys.public(), count, threads, seed);
-        self.keys.attach_pool(pool).is_ok()
+        let Peers::Here { alice, bob, .. } = &mut self.peers else {
+            return false;
+        };
+        let pool = RandomizerPool::prefill(self.keys.public(), count, threads, seed);
+        alice.attach_pool(&pool) && bob.attach_pool(&pool)
     }
 
     fn connect_remote(
         &mut self,
         mut party: Box<dyn RemoteParty>,
         ledger: &mut CostLedger,
-    ) -> Result<Box<dyn Comparator>, SmcError> {
-        let key_msg = ProtocolMessage::PublicKey {
-            n: self.keys.public().n().clone(),
+    ) -> Result<(), SmcError> {
+        if matches!(self.peers, Peers::Here { link: Some(_), .. }) {
+            return Err(SmcError::Internal(
+                "a session over the simulated link cannot also go remote",
+            ));
         }
-        .encode()
-        .to_vec();
-        let next_pair_id = party.resume_pair_watermark();
-        party.broadcast_key(&key_msg, ledger)?;
-        Ok(Box::new(RemotePaillier {
-            keys: self.keys.clone(),
-            party,
-            next_pair_id,
-            pack: self.pack,
-        }))
+        self.next_pair_id = party.resume_pair_watermark();
+        party.broadcast_key(&key_message(&self.keys), ledger)?;
+        self.peers = Peers::Remote(party);
+        Ok(())
     }
-}
 
-// ---------------------------------------------------------------------------
-// Paillier (simulated channel)
-// ---------------------------------------------------------------------------
-
-/// The batched protocol run over an explicit simulated network: the key
-/// broadcast and both per-pair messages cross a [`ReliableLink`] over a
-/// [`FaultyTransport`].
-pub(crate) struct TransportedPaillier {
-    keys: Keypair,
-    rng: StdRng,
-    link: ReliableLink<FaultyTransport<LocalTransport>>,
-    alice: DataHolder,
-    bob: DataHolder,
-    next_pair_id: u64,
-    /// Slot-packed replies from the simulated Bob.
-    pack: bool,
-}
-
-impl TransportedPaillier {
-    fn connect(
-        modulus_bits: usize,
-        seed: u64,
-        pack: bool,
-        channel: ChannelConfig,
-        ledger: &mut CostLedger,
-    ) -> Result<Self, SmcError> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let keys = Keypair::generate(&mut rng, modulus_bits);
-        let transport = FaultyTransport::new(LocalTransport::new(), channel.faults, channel.seed);
-        let mut link = ReliableLink::new(
-            transport,
-            channel.retry,
-            channel.seed ^ 0x9e37_79b9_7f4a_7c15,
-        );
-        let broadcast_policy = RetryPolicy {
-            max_retries: channel.retry.max_retries.max(KEY_BROADCAST_MIN_RETRIES),
-            ..channel.retry
+    fn take_link_telemetry(&mut self) -> Option<(FaultStats, u64)> {
+        let Peers::Here { link, .. } = &mut self.peers else {
+            return None;
         };
-        let key_msg = ProtocolMessage::PublicKey {
-            n: keys.public().n().clone(),
-        }
-        .encode()
-        .to_vec();
-        let broadcast = |link: &mut ReliableLink<FaultyTransport<LocalTransport>>,
-                         ledger: &mut CostLedger,
-                         party: PartyId|
-         -> Result<DataHolder, SmcError> {
-            ledger.record_message(key_msg.len());
-            let delivered = link
-                .deliver_with(
-                    broadcast_policy,
-                    PartyId::Querier,
-                    party,
-                    KEY_BROADCAST_PAIR_ID,
-                    key_msg.clone(),
-                    ledger,
-                )
-                .map_err(SmcError::Transport)?;
-            Ok(DataHolder::from_key_message(&delivered)?)
-        };
-        let alice = broadcast(&mut link, ledger, PartyId::Alice)?;
-        let bob = broadcast(&mut link, ledger, PartyId::Bob)?;
-        Ok(TransportedPaillier {
-            keys,
-            rng,
-            link,
-            alice,
-            bob,
-            next_pair_id: KEY_BROADCAST_PAIR_ID,
-            pack,
-        })
-    }
-}
-
-impl Comparator for TransportedPaillier {
-    fn backend_name(&self) -> &'static str {
-        "paillier"
-    }
-
-    fn compare(
-        &mut self,
-        ctx: &CompareCtx<'_>,
-        _ri: u32,
-        _si: u32,
-        r: &Record,
-        s: &Record,
-        ledger: &mut CostLedger,
-    ) -> Result<CompareOutcome, SmcError> {
-        let Some((a_vals, b_vals, thresholds)) =
-            batch_encode(ctx.rule, ctx.qids, r, s, ctx.norms)?
-        else {
-            return Ok(CompareOutcome::Decided(true));
-        };
-        if self.pack {
-            validate_packable_values(&a_vals)?;
-        }
-        self.next_pair_id += 1;
-        let pair_id = self.next_pair_id;
-        let m_alice =
-            alice_record_message(self.alice.public_key(), &a_vals, &mut self.rng, ledger)?;
-        let delivered = match self
-            .link
-            .deliver(PartyId::Alice, PartyId::Bob, pair_id, m_alice, ledger)
-        {
-            Ok(bytes) => bytes,
-            Err(TransportError::RetriesExhausted { .. }) => return Ok(CompareOutcome::Abandoned),
-        };
-        // The envelope checksum guarantees the payload arrived intact, so
-        // a decode failure here is a real protocol bug — propagate it
-        // rather than degrade.
-        let m_bob = bob_reply(
-            self.bob.public_key(),
-            &delivered,
-            &b_vals,
-            &thresholds,
-            self.pack,
-            &mut self.rng,
-            ledger,
-        )?;
-        let delivered = match self
-            .link
-            .deliver(PartyId::Bob, PartyId::Querier, pair_id, m_bob, ledger)
-        {
-            Ok(bytes) => bytes,
-            Err(TransportError::RetriesExhausted { .. }) => return Ok(CompareOutcome::Abandoned),
-        };
-        let decided = querier_reveal(self.keys.private(), &delivered, self.pack, ledger)?;
-        Ok(CompareOutcome::Decided(decided))
-    }
-
-    fn take_fault_stats(&mut self) -> Option<FaultStats> {
-        Some(self.link.transport_mut().take_stats())
-    }
-
-    fn take_virtual_backoff_ms(&mut self) -> u64 {
-        self.link.take_virtual_elapsed_ms()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Paillier (remote holders)
-// ---------------------------------------------------------------------------
-
-/// Querier-side state of a networked session: only the key pair and the
-/// non-trivial-pair counter live here — ciphertext production happens in
-/// the remote holder processes.
-pub(crate) struct RemotePaillier {
-    keys: Keypair,
-    party: Box<dyn RemoteParty>,
-    next_pair_id: u64,
-    /// Whether the holders send slot-packed replies (the fingerprint
-    /// guarantees all three parties agree on this).
-    pack: bool,
-}
-
-impl Comparator for RemotePaillier {
-    fn backend_name(&self) -> &'static str {
-        "paillier"
-    }
-
-    fn compare(
-        &mut self,
-        ctx: &CompareCtx<'_>,
-        _ri: u32,
-        _si: u32,
-        r: &Record,
-        s: &Record,
-        ledger: &mut CostLedger,
-    ) -> Result<CompareOutcome, SmcError> {
-        // The holders replicate this same deterministic walk and
-        // encoding; a trivial pair is decided locally on every side
-        // without a single byte crossing the wire.
-        if batch_encode(ctx.rule, ctx.qids, r, s, ctx.norms)?.is_none() {
-            return Ok(CompareOutcome::Decided(true));
-        }
-        self.next_pair_id += 1;
-        let pair_id = self.next_pair_id;
-        match self.party.bob_message(pair_id, ledger)? {
-            None => Ok(CompareOutcome::Abandoned),
-            Some(m_bob) => Ok(CompareOutcome::Decided(querier_reveal(
-                self.keys.private(),
-                &m_bob,
-                self.pack,
-                ledger,
-            )?)),
-        }
+        let link = link.as_mut()?;
+        let stats = link.transport_mut().take_stats();
+        Some((stats, link.take_virtual_elapsed_ms()))
     }
 }
 
@@ -631,53 +574,60 @@ impl Comparator for RemotePaillier {
 // Bloom / CLK
 // ---------------------------------------------------------------------------
 
-/// In-process CLK backend: holds both sides' filter banks and mirrors,
-/// byte for byte, the ledger entries the three-process deployment
-/// records — Alice's filter message, Bob's journaled ack of it, Bob's
-/// Dice-tally message, and the querier's journaled ack of that. Both
-/// messages are fixed-width, so the ledger takes their lengths
+/// The CLK exchange: Alice's filter, Bob's Dice tallies, the querying
+/// party's threshold test — it never sees either filter. In process both
+/// messages stay typed and the ledger takes their fixed wire lengths
 /// ([`clk_wire::clk_msg_len`], [`clk_wire::DICE_MSG_LEN`]) without the
 /// bytes being built: a pair allocates nothing.
 pub(crate) struct ClkComparator {
     params: ClkParams,
-    /// R-rows' filters under [`SIDE_A`].
-    alice: ClkBank,
-    /// S-rows' filters under [`SIDE_B`].
-    bob: ClkBank,
+    peers: Peers,
+    next_pair_id: u64,
     bits: u64,
     flips: u64,
 }
 
 impl Comparator for ClkComparator {
-    fn backend_name(&self) -> &'static str {
-        "bloom"
-    }
-
     fn compare(
         &mut self,
         ctx: &CompareCtx<'_>,
-        ri: u32,
-        si: u32,
-        r: &Record,
-        s: &Record,
+        pair: PairView<'_>,
         ledger: &mut CostLedger,
     ) -> Result<CompareOutcome, SmcError> {
-        let p = self.params;
-        let (clk_a, flips_a) = self.alice.lookup(ctx.qids, r, ri)?;
-        let (clk_b, flips_b) = self.bob.lookup(ctx.qids, s, si)?;
-        // Alice → Bob: the filter message, acked after Bob journals it.
-        ledger.record_message(clk_wire::clk_msg_len(p.filter_len));
-        ledger.record_message(ENVELOPE_OVERHEAD);
-        let counts = DiceCounts::of(clk_a, clk_b)
-            .ok_or(SmcError::Internal("clk filter lengths diverged"))?;
-        // Bob → querier: the tallies, acked after the querier journals.
-        ledger.record_message(clk_wire::DICE_MSG_LEN);
-        ledger.record_message(ENVELOPE_OVERHEAD);
-        self.bits += 2 * u64::from(p.filter_len);
-        self.flips += u64::from(flips_a) + u64::from(flips_b);
+        // Every CLK pair is non-trivial (there is no attribute-level
+        // shortcut), so the pair-id stream has no gaps on any party.
+        self.next_pair_id += 1;
+        let msg = match &mut self.peers {
+            // Handed over typed; the ledger also takes the two journaled
+            // acks (Bob's of the filter, the querying party's of the
+            // tallies) the deployment's receivers record, so the
+            // in-process report equals the three-process one.
+            Peers::Here { alice, bob, .. } => {
+                let (clk, flips) = alice.filter(ctx, &pair, ledger)?;
+                let msg = bob.tally(ctx, &pair, clk, flips, ledger)?;
+                ledger.record_message(ENVELOPE_OVERHEAD);
+                ledger.record_message(ENVELOPE_OVERHEAD);
+                msg
+            }
+            Peers::Remote(party) => {
+                let Some(reply) = party.bob_message(self.next_pair_id, ledger)? else {
+                    return Ok(CompareOutcome::Abandoned);
+                };
+                clk_wire::decode_dice(&reply, self.params.filter_len).map_err(|e| {
+                    SmcError::SessionMismatch(format!("Bob's dice message rejected: {e}"))
+                })?
+            }
+        };
+        self.bits += 2 * u64::from(self.params.filter_len);
+        self.flips += u64::from(msg.flips);
+        let counts = DiceCounts {
+            a_ones: msg.a_ones,
+            b_ones: msg.b_ones,
+            common: msg.common,
+        };
         Ok(CompareOutcome::Decided(dice_match(
             &counts,
-            p.threshold_millis,
+            self.params.threshold_millis,
         )))
     }
 
@@ -691,71 +641,12 @@ impl Comparator for ClkComparator {
         &mut self,
         party: Box<dyn RemoteParty>,
         _ledger: &mut CostLedger,
-    ) -> Result<Box<dyn Comparator>, SmcError> {
+    ) -> Result<(), SmcError> {
         // No key material to broadcast: the CLK parameters are part of
         // the fingerprinted config every party already holds.
-        let next_pair_id = party.resume_pair_watermark();
-        Ok(Box::new(RemoteClk {
-            params: self.params,
-            party,
-            next_pair_id,
-            bits: self.bits,
-            flips: self.flips,
-        }))
-    }
-
-    fn wire_counters(&self) -> (u64, u64) {
-        (self.bits, self.flips)
-    }
-}
-
-/// Querier-side CLK backend of a networked session: Bob ships Dice
-/// tallies; the querier never sees either filter.
-pub(crate) struct RemoteClk {
-    params: ClkParams,
-    party: Box<dyn RemoteParty>,
-    next_pair_id: u64,
-    bits: u64,
-    flips: u64,
-}
-
-impl Comparator for RemoteClk {
-    fn backend_name(&self) -> &'static str {
-        "bloom"
-    }
-
-    fn compare(
-        &mut self,
-        _ctx: &CompareCtx<'_>,
-        _ri: u32,
-        _si: u32,
-        _r: &Record,
-        _s: &Record,
-        ledger: &mut CostLedger,
-    ) -> Result<CompareOutcome, SmcError> {
-        // Every CLK pair is non-trivial (there is no attribute-level
-        // shortcut), so the pair-id stream has no gaps on any party.
-        self.next_pair_id += 1;
-        let pair_id = self.next_pair_id;
-        match self.party.bob_message(pair_id, ledger)? {
-            None => Ok(CompareOutcome::Abandoned),
-            Some(m_bob) => {
-                let msg = clk_wire::decode_dice(&m_bob, self.params.filter_len).map_err(|e| {
-                    SmcError::SessionMismatch(format!("Bob's dice message rejected: {e}"))
-                })?;
-                self.bits += 2 * u64::from(self.params.filter_len);
-                self.flips += u64::from(msg.flips);
-                let counts = DiceCounts {
-                    a_ones: msg.a_ones,
-                    b_ones: msg.b_ones,
-                    common: msg.common,
-                };
-                Ok(CompareOutcome::Decided(dice_match(
-                    &counts,
-                    self.params.threshold_millis,
-                )))
-            }
-        }
+        self.next_pair_id = party.resume_pair_watermark();
+        self.peers = Peers::Remote(party);
+        Ok(())
     }
 
     fn wire_counters(&self) -> (u64, u64) {
@@ -805,7 +696,14 @@ mod tests {
             qids: &qids,
         };
         let (r, s) = (&data.records()[0], &data.records()[1]);
-        let outcome = backend.compare(&ctx, 0, 1, r, s, &mut ledger).unwrap();
+        let pair = PairView {
+            ri: 0,
+            si: 1,
+            r,
+            s,
+            encoded: None,
+        };
+        let outcome = backend.compare(&ctx, pair, &mut ledger).unwrap();
 
         let a = pprl_bloom::encode_fields(&params, &clk_record_fields(&qids, r));
         let b = pprl_bloom::encode_fields(&params, &clk_record_fields(&qids, s));

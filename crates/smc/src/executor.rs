@@ -35,7 +35,7 @@
 //!   compared, and degrade through the same [`LabelingStrategy`] path.
 
 use crate::allowance::SmcAllowance;
-use crate::comparator::{self, Comparator, CompareCtx, ComparatorStats};
+use crate::comparator::{self, Comparator, ComparatorStats, CompareCtx, PairView};
 use crate::deadline::{DeadlineBudget, DeadlineClock};
 use crate::heuristics::{order_unknown, SelectionHeuristic};
 use crate::strategy::LabelingStrategy;
@@ -420,8 +420,8 @@ pub struct PairEvent {
 /// Alice and Bob run in their own processes and only ciphertext messages
 /// cross the boundary (`pprl-net` implements this over TCP).
 ///
-/// Cost-accounting contract (mirrors the in-process
-/// `TransportedPaillier` so a networked run's merged ledger equals the
+/// Cost-accounting contract (mirrors the in-process session over the
+/// simulated link, so a networked run's merged ledger equals that
 /// single-process run's): implementations record *querier-side* costs
 /// into the passed ledger — one key message per holder at broadcast, one
 /// ack frame per received pair message — and nothing else; the holders
@@ -494,7 +494,7 @@ impl SmcStep {
     /// with the same Paillier parameters reuses the result. The caller
     /// must supply a keypair of this mode's `modulus_bits`; a daemon that
     /// caches by the mode seed gets exactly the pair a cold start would
-    /// have generated. Ignored by the oracle and transported backends.
+    /// have generated. Ignored by the oracle and Bloom backends.
     #[allow(clippy::too_many_arguments)]
     pub fn start_warm<'a>(
         &self,
@@ -700,13 +700,7 @@ impl<'a> SmcRunner<'a> {
             // decides its label.
             PairDecision::Abandoned(AbandonReason::DeadlineExpired)
         } else {
-            match self.compare_pair(ri, si)? {
-                CompareOutcome::Decided(true) => PairDecision::Matched,
-                CompareOutcome::Decided(false) => PairDecision::NonMatch,
-                CompareOutcome::Abandoned => {
-                    PairDecision::Abandoned(AbandonReason::RetryExhausted)
-                }
-            }
+            self.compare_pair(ri, si)?
         };
         self.apply_decision(ri, si, decision)?;
         Ok(Some(PairEvent { ri, si, decision }))
@@ -774,12 +768,9 @@ impl<'a> SmcRunner<'a> {
     /// [`SmcMode::PaillierBatched`] or [`SmcMode::Bloom`] — and no
     /// simulated channel: the socket *is* the channel.
     pub fn connect_remote(&mut self, party: Box<dyn RemoteParty>) -> Result<(), SmcError> {
-        let remote = self
-            .comparer
+        self.comparer
             .backend
-            .connect_remote(party, &mut self.session.ledger)?;
-        self.comparer.backend = remote;
-        Ok(())
+            .connect_remote(party, &mut self.session.ledger)
     }
 
     /// Advances the deterministic pair walk one step *without running any
@@ -797,27 +788,15 @@ impl<'a> SmcRunner<'a> {
         Ok(Some((ri, si)))
     }
 
-    /// The two records of pair `(ri, si)`.
-    pub(crate) fn pair_records(
-        &self,
-        ri: u32,
-        si: u32,
-    ) -> Result<(&'a pprl_data::Record, &'a pprl_data::Record), SmcError> {
-        let r = self
-            .r_data
-            .records()
-            .get(ri as usize)
-            .ok_or(SmcError::Internal("R record index out of range"))?;
-        let s = self
-            .s_data
-            .records()
-            .get(si as usize)
-            .ok_or(SmcError::Internal("S record index out of range"))?;
-        Ok((r, s))
+    /// Pair `(ri, si)` as a backend reads it.
+    pub(crate) fn pair(&self, ri: u32, si: u32) -> Result<PairView<'a>, SmcError> {
+        pair_view(self.r_data, self.s_data, ri, si)
     }
 
-    /// What a backend may read about the job, on either side of the wire.
-    pub(crate) fn compare_ctx(&self) -> CompareCtx<'_> {
+    /// What a backend may read about the job, on either side of the wire
+    /// (a holder process passes it to
+    /// [`HolderBackend::message`](crate::holder::HolderBackend::message)).
+    pub fn compare_ctx(&self) -> CompareCtx<'_> {
         CompareCtx {
             schema: self.comparer.schema.as_ref(),
             rule: &self.comparer.rule,
@@ -879,9 +858,9 @@ impl<'a> SmcRunner<'a> {
     }
 
     /// True when the pair walk may be executed in concurrent batches:
-    /// per-worker comparer duplication must be possible (not the
-    /// transported backend, whose reliable link sequences frames
-    /// serially) and no deadline may be armed (expiry is checked
+    /// per-worker comparer duplication must be possible (not over the
+    /// simulated link, which sequences frames serially, nor once the
+    /// holders are remote) and no deadline may be armed (expiry is checked
     /// *between* pairs — a sequential notion a batch cannot honor
     /// mid-flight without changing which pairs get abandoned).
     pub fn parallelizable(&self) -> bool {
@@ -972,23 +951,9 @@ impl<'a> SmcRunner<'a> {
                 let c = dup
                     .as_mut()
                     .ok_or(SmcError::Internal("non-duplicable backend in parallel step"))?;
-                let r = r_data
-                    .records()
-                    .get(ri as usize)
-                    .ok_or(SmcError::Internal("R record index out of range"))?;
-                let s = s_data
-                    .records()
-                    .get(si as usize)
-                    .ok_or(SmcError::Internal("S record index out of range"))?;
+                let pair = pair_view(r_data, s_data, ri, si)?;
                 let mut ledger = CostLedger::new();
-                let decision = match c.compare(qids, ri, si, r, s, &mut ledger)? {
-                    CompareOutcome::Decided(true) => PairDecision::Matched,
-                    CompareOutcome::Decided(false) => PairDecision::NonMatch,
-                    CompareOutcome::Abandoned => {
-                        PairDecision::Abandoned(AbandonReason::RetryExhausted)
-                    }
-                };
-                Ok((decision, ledger))
+                Ok((c.compare(qids, pair, &mut ledger)?, ledger))
             },
         );
         let mut events = Vec::with_capacity(pairs.len());
@@ -1027,7 +992,7 @@ impl<'a> SmcRunner<'a> {
     /// factor of every Paillier encryption) on the backend key pair,
     /// computed across `threads` workers, so subsequent encryptions cost
     /// two modular multiplications each. Returns `false` when there is
-    /// nothing to pool for (oracle mode, transported sessions). Ledger
+    /// nothing to pool for (oracle mode, linked or remote sessions). Ledger
     /// accounting is unchanged either way — the pool moves *when* the
     /// exponentiations happen, not how many the protocol performs.
     pub fn prefill_randomizers(&mut self, count: usize, threads: usize, seed: u64) -> bool {
@@ -1052,7 +1017,7 @@ impl<'a> SmcRunner<'a> {
     pub fn finish(mut self) -> SmcReport {
         self.sync_degradation();
         self.session.elapsed_ms = self.clock.elapsed_ms();
-        let backend = self.comparer.backend.backend_name();
+        let backend = self.comparer.backend_name;
         let (clk_bits_exchanged, dp_flips) = self.comparer.backend.wire_counters();
         let mut s = self.session;
         s.ledger.invocations = s.invocations;
@@ -1079,20 +1044,38 @@ impl<'a> SmcRunner<'a> {
     /// Folds transport telemetry (fault stats, virtual backoff, ledger
     /// tallies) into the degradation report.
     fn sync_degradation(&mut self) {
-        if let Some(stats) = self.comparer.take_fault_stats() {
+        if let Some((stats, backoff_ms)) = self.comparer.backend.take_link_telemetry() {
             self.session.degradation.injected.merge(&stats);
+            self.session.degradation.virtual_backoff_ms += backoff_ms;
         }
-        self.session.degradation.virtual_backoff_ms += self.comparer.take_virtual_backoff_ms();
         self.session.degradation.retries_spent = self.session.ledger.retries;
         self.session.degradation.faults_survived =
             self.session.ledger.corrupt_dropped + self.session.ledger.duplicates_discarded;
     }
 
-    fn compare_pair(&mut self, ri: u32, si: u32) -> Result<CompareOutcome, SmcError> {
-        let (r, s) = self.pair_records(ri, si)?;
+    fn compare_pair(&mut self, ri: u32, si: u32) -> Result<PairDecision, SmcError> {
+        let pair = self.pair(ri, si)?;
         self.comparer
-            .compare(&self.qids, ri, si, r, s, &mut self.session.ledger)
+            .compare(&self.qids, pair, &mut self.session.ledger)
     }
+}
+
+/// Pair `(ri, si)` of the two data sets as a backend reads it.
+fn pair_view<'a>(
+    r_data: &'a DataSet,
+    s_data: &'a DataSet,
+    ri: u32,
+    si: u32,
+) -> Result<PairView<'a>, SmcError> {
+    let r = r_data.records().get(ri as usize);
+    let s = s_data.records().get(si as usize);
+    Ok(PairView {
+        ri,
+        si,
+        r: r.ok_or(SmcError::Internal("R record index out of range"))?,
+        s: s.ok_or(SmcError::Internal("S record index out of range"))?,
+        encoded: None,
+    })
 }
 
 /// Advances bookkeeping-only phase transitions (leftover pushes, empty
@@ -1335,6 +1318,8 @@ struct Comparer {
     rule: MatchingRule,
     /// Per-QID normalization factors (1.0 for categorical attributes).
     norms: Vec<f64>,
+    /// The mode's backend family name, for the report.
+    backend_name: &'static str,
     backend: Box<dyn Comparator>,
 }
 
@@ -1364,6 +1349,7 @@ impl Comparer {
             schema: std::sync::Arc::clone(data.schema()),
             rule: rule.clone(),
             norms,
+            backend_name: mode.backend_name(),
             backend,
         })
     }
@@ -1383,36 +1369,30 @@ impl Comparer {
             schema: std::sync::Arc::clone(&self.schema),
             rule: self.rule.clone(),
             norms: self.norms.clone(),
+            backend_name: self.backend_name,
             backend,
         })
     }
 
-    /// Injected-fault tally since the last harvest (`None` off-transport).
-    fn take_fault_stats(&mut self) -> Option<FaultStats> {
-        self.backend.take_fault_stats()
-    }
-
-    /// Virtual backoff accumulated since the last harvest.
-    fn take_virtual_backoff_ms(&mut self) -> u64 {
-        self.backend.take_virtual_backoff_ms()
-    }
-
+    /// Runs the backend on one pair and names the outcome as the session
+    /// records it.
     fn compare(
         &mut self,
         qids: &[usize],
-        ri: u32,
-        si: u32,
-        r: &pprl_data::Record,
-        s: &pprl_data::Record,
+        pair: PairView<'_>,
         ledger: &mut CostLedger,
-    ) -> Result<CompareOutcome, SmcError> {
+    ) -> Result<PairDecision, SmcError> {
         let ctx = CompareCtx {
             schema: self.schema.as_ref(),
             rule: &self.rule,
             norms: &self.norms,
             qids,
         };
-        self.backend.compare(&ctx, ri, si, r, s, ledger)
+        Ok(match self.backend.compare(&ctx, pair, ledger)? {
+            CompareOutcome::Decided(true) => PairDecision::Matched,
+            CompareOutcome::Decided(false) => PairDecision::NonMatch,
+            CompareOutcome::Abandoned => PairDecision::Abandoned(AbandonReason::RetryExhausted),
+        })
     }
 }
 
@@ -1421,19 +1401,20 @@ impl Comparer {
 pub(crate) type BatchEncoding = (Vec<u64>, Vec<u64>, Vec<u64>);
 
 /// Encodes every decidable attribute of a record pair for the batched
-/// protocol; `Ok(None)` when no attribute can fail (trivial match).
+/// protocol; `Ok(None)` when no attribute can fail — the trivial-pair test
+/// every party of a batched session applies, so a trivial match is
+/// decided locally everywhere and exchanges nothing.
 pub(crate) fn batch_encode(
-    rule: &MatchingRule,
-    qids: &[usize],
+    ctx: &CompareCtx<'_>,
     r: &pprl_data::Record,
     s: &pprl_data::Record,
-    norms: &[f64],
 ) -> Result<Option<BatchEncoding>, SmcError> {
+    let qids = ctx.qids;
     let mut a_vals = Vec::with_capacity(qids.len());
     let mut b_vals = Vec::with_capacity(qids.len());
     let mut thresholds = Vec::with_capacity(qids.len());
     for (pos, &q) in qids.iter().enumerate() {
-        let (a, b, t) = encode_attribute(rule, pos, r.value(q), s.value(q), norms)?;
+        let (a, b, t) = encode_attribute(ctx.rule, pos, r.value(q), s.value(q), ctx.norms)?;
         if t == u64::MAX {
             continue; // θ ≥ 1: attribute can never fail
         }
@@ -1560,10 +1541,8 @@ mod tests {
         let mut runner = step
             .start(&f.a, &f.b, &f.va, &f.vb, &f.unknown, &f.rule, f.total)
             .unwrap();
-        let mut bob = HolderBackend::open(step.mode, HolderSide::Bob, || -> Result<_, SmcError> {
-            Err(SmcError::Internal("the CLK exchange has no key message"))
-        })
-        .unwrap();
+        let no_key = || Err(SmcError::Internal("the CLK exchange has no key"));
+        let mut bob = HolderBackend::open(step.mode, HolderSide::Bob, no_key).unwrap();
         let alice_msg = pprl_bloom::wire::encode_clk(&pprl_bloom::Clk::zero(params.filter_len), 0);
         let watermark = 450u64;
         let mut ordinal = 0u64;
@@ -1578,7 +1557,7 @@ mod tests {
             }
             live.insert(pair.si);
             let reply = bob
-                .message(&runner, &pair, Some(&alice_msg), &mut ledger)
+                .message(&runner.compare_ctx(), &pair, Some(&alice_msg), &mut ledger)
                 .unwrap();
             assert_eq!(reply.len(), pprl_bloom::wire::DICE_MSG_LEN);
         }

@@ -42,14 +42,14 @@ mod strategy;
 pub use allowance::SmcAllowance;
 pub use clk_bank::ClkBank;
 pub use codec::{decode_session, encode_session};
-pub use comparator::{clk_record_fields, CompareCtx, Comparator, ComparatorStats};
+pub use comparator::{clk_record_fields, CompareCtx, Comparator, ComparatorStats, PairView};
 pub use deadline::DeadlineBudget;
 pub use executor::{
     AbandonReason, AbandonTally, ChannelConfig, CompareOutcome, DegradationReport, ExaminedStats,
     LeftoverPair, PairDecision, PairEvent, RemoteParty, SessionPhase, SmcMode, SmcReport,
     SmcRunner, SmcSession, SmcStep,
 };
-pub use holder::{HolderBackend, HolderPair, HolderSide};
+pub use holder::{HolderBackend, HolderSide};
 pub use heuristics::{order_unknown, SelectionHeuristic};
 pub use strategy::{label_leftovers, LabelingStrategy};
 
