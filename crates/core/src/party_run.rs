@@ -507,8 +507,9 @@ impl RemoteParty for SharedParty {
         }
         for holder in [&mut net.alice, &mut net.bob] {
             // One key message per holder, recorded exactly once. Delivery
-            // is independently idempotent — send_data skips the wire when
-            // the holder's (re)connect hello already shows the key.
+            // is independently idempotent: the key is pair 0 of the same
+            // send window every pair rides, and a holder whose (re)connect
+            // hello already shows the key settles it without a frame.
             ledger.record_message(key_message.len());
             holder.send_data(0, key_message).map_err(smc_net_err)?;
         }

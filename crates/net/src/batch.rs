@@ -1,12 +1,14 @@
 //! Coalesced data frames: several `Envelope`s per TCP frame.
 //!
-//! PR 5's loopback bench measured the `kind|len|checksum` framing plus the
-//! per-frame syscall at ~1.10× overhead on tiny frames. A windowed sender
+//! Every frame costs its `kind|len|checksum` header and a write syscall,
+//! which on the ~130-byte CLK messages is most of the wire cost (the
+//! benchmark's `net.framing_overhead` row). A sender
 //! ([`PeerChannel::pump_window`](crate::peer::PeerChannel::pump_window))
-//! often has several envelopes queued at once — the initial window fill,
-//! and every retransmission burst after a reconnect — so those flushes
-//! travel as one [`K_DATA_BATCH`](crate::frame::K_DATA_BATCH) frame
-//! wrapping the same envelope encoding `K_DATA` carries singly:
+//! that has several envelopes queued at once — a window submitted up
+//! front, and every retransmission burst after a silent window or a
+//! reconnect — therefore flushes them as one
+//! [`K_DATA_BATCH`](crate::frame::K_DATA_BATCH) frame wrapping the same
+//! envelope encoding `K_DATA` carries singly:
 //!
 //! ```text
 //! count (u16 LE) | count × ( len (u32 LE) | envelope bytes )

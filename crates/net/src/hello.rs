@@ -132,6 +132,18 @@ impl Hello {
         }
     }
 
+    /// Whether the announcer has durably completed `pair_id` (`0` = the
+    /// key broadcast): the one test behind both the receiver's dedup
+    /// screen (over its own announcement) and the sender's
+    /// delivered-by-hello proof (over the peer's).
+    pub(crate) fn covers(&self, pair_id: u64) -> bool {
+        if pair_id == 0 {
+            self.have_key
+        } else {
+            pair_id <= self.watermark
+        }
+    }
+
     /// Serializes to the fixed-width payload of a `K_HELLO` frame.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(HELLO_LEN);

@@ -1,21 +1,27 @@
 //! # pprl-net — real TCP networking for the three-party SMC protocol
 //!
 //! The paper's SMC step (§V-A) is a distributed protocol: Alice, Bob, and
-//! the querying party exchange Paillier ciphertexts over a network. Earlier
-//! PRs ran all three inside one process over an in-memory [`Transport`];
-//! this crate carries the *same* wire protocol over `std::net::TcpStream`:
+//! the querying party exchange Paillier ciphertexts (or CLKs) over a
+//! network. This crate carries the protocol's `Envelope` wire format — the
+//! same one the in-process [`Transport`] moves — over
+//! `std::net::TcpStream`, bottom up:
 //!
 //! - [`frame`] — length-prefixed, checksummed frame codec (torn frames,
-//!   bit-flips, and hostile length fields rejected before parsing);
+//!   bit-flips, and hostile length fields rejected before parsing), and
+//!   [`batch`], several envelopes coalesced into one frame;
 //! - [`hello`] — connect/accept handshake: protocol version, party role,
 //!   and job-fingerprint exchange, plus resume watermarks so reconnection
 //!   is idempotent;
 //! - [`stream`] — one framed socket with read/write timeouts;
-//! - [`peer`] — [`PeerChannel`]: the PR 1 `Envelope` ack/seq reliability
-//!   layer over a socket, with reconnect-with-resume (a dead peer degrades
-//!   exactly like a retry-exhausted pair, it never aborts the run);
+//! - [`state`] — which frame kinds a connection admits in which phase;
+//! - [`peer`] — [`PeerChannel`]: acknowledged, deduplicated delivery to one
+//!   peer with reconnect-with-resume — one windowed sender, one reader
+//!   sorting frames into three mailboxes (a dead peer degrades exactly
+//!   like a retry-exhausted pair, it never aborts the run);
 //! - [`mux`] — [`SessionMux`]: one listener serving concurrent sessions,
-//!   routing handshaken connections by job fingerprint.
+//!   routing handshaken connections by job fingerprint;
+//! - [`chaos`] — [`ChaosProxy`]: a fault-injecting TCP relay (the chaos
+//!   suites and the `chaosproxy` subcommand).
 //!
 //! Everything here is stdlib-only (enforced by the D001 dependency policy);
 //! the only non-std dependencies are workspace crates.
@@ -24,7 +30,6 @@
 
 pub mod batch;
 pub mod chaos;
-pub mod commit;
 pub mod frame;
 pub mod hello;
 pub mod mux;
@@ -35,7 +40,6 @@ pub(crate) mod trace;
 
 pub use batch::{decode_batch, encode_batch, BATCH_MIN_LEN};
 pub use chaos::{ChaosConfig, ChaosProxy, ChaosStats};
-pub use commit::CommitSet;
 pub use frame::{encode_frame, FrameDecoder, FRAME_OVERHEAD, MAX_FRAME_LEN};
 pub use hello::{Backend, Busy, Hello, Role, NET_VERSION};
 pub use mux::{Admission, AdmissionGate, MuxLimits, SessionMux};
@@ -148,8 +152,9 @@ pub struct NetStats {
     /// walk, this side no longer processes the payloads.
     pub drained: u64,
     /// Frames rejected by the per-connection [`ProtocolState`] (wrong
-    /// phase, wrong size, handshake replay). Each one cost the offending
-    /// connection, nothing else.
+    /// phase, wrong size, handshake replay) — each one cost the offending
+    /// connection, nothing else — plus commits a caller offered out of
+    /// order, which the channel refuses.
     pub violations: u64,
     /// Connections closed before their handshake because the listener was
     /// at its concurrent-connection cap.
@@ -158,12 +163,12 @@ pub struct NetStats {
     /// claimed them.
     pub reaped: u64,
     /// Coalesced [`K_DATA_BATCH`](crate::frame::K_DATA_BATCH) frames sent
-    /// by a windowed sender flushing more than one envelope at once.
+    /// by a flush of more than one queued envelope at once.
     pub batches_sent: u64,
     /// Data envelopes that traveled inside those batch frames (each one
     /// saved a frame header and a syscall relative to a solo send).
     pub batched_envelopes: u64,
-    /// High-water mark of concurrently unacknowledged windowed sends —
+    /// High-water mark of concurrently unacknowledged submissions —
     /// the observed window occupancy, `max`-merged rather than summed.
     pub max_window: u64,
 }

@@ -623,14 +623,28 @@ mod tests {
         // The dialer gives up on its first attempt (no reply in time) and
         // redials; the mailbox must hold only the fresh stream, not a
         // growing backlog of abandoned ones.
-        let _stale = dial_with_hello(addr, Hello::new(Role::Alice, Backend::Paillier, 7));
-        let mut fresh = dial_with_hello(addr, Hello::new(Role::Alice, Backend::Paillier, 7));
+        // Each dial is greeted on its own thread, so the second must not
+        // start before the first is parked, nor the claim before the
+        // second is: the watermark tells the two announcements apart.
+        let await_parked = |watermark: u64| {
+            let patience = Instant::now();
+            while !mux.shared.mailboxes.lock().unwrap().get(&(7, Role::Alice)).is_some_and(
+                |parked| parked.iter().any(|(_, hello, _)| hello.watermark == watermark),
+            ) {
+                assert!(patience.elapsed() < Duration::from_secs(5), "dial never parked");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        };
+        let mut redial = Hello::new(Role::Alice, Backend::Paillier, 7);
+        let _stale = dial_with_hello(addr, redial);
+        await_parked(0);
+        redial.watermark = 1;
+        let mut fresh = dial_with_hello(addr, redial);
         let mut stats = NetStats::default();
         fresh.send(K_DATA, b"fresh", &mut stats).unwrap();
-        // Let the accept loop route both dials before claiming.
-        std::thread::sleep(Duration::from_millis(300));
+        await_parked(1);
         let (mut stream, hello) = mux.wait_conn(7, Role::Alice, Duration::from_secs(5)).unwrap();
-        assert_eq!(hello.role, Role::Alice);
+        assert_eq!(hello, redial);
         let (kind, payload) = stream.recv(&mut stats).unwrap();
         assert_eq!(kind, K_DATA);
         assert_eq!(payload, b"fresh");
@@ -687,8 +701,10 @@ mod tests {
         };
         let mux2 = Arc::clone(&mux);
         let acceptor = std::thread::spawn(move || {
-            PeerChannel::accept(mux2, Hello::new(Role::Bob, Backend::Paillier, 5), Role::Alice, timeout, policy)
-                .unwrap()
+            let hello = Hello::new(Role::Bob, Backend::Paillier, 5);
+            let mut bob = PeerChannel::accept_lazy(mux2, hello, Role::Alice, timeout, policy);
+            bob.ensure_connected().unwrap();
+            bob
         });
         let dialer = PeerChannel::connect(
             addr,

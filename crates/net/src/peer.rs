@@ -1,22 +1,42 @@
-//! A reliable link to one peer: PR 1 `Envelope` ack/seq semantics over a
-//! socket, with reconnect-with-resume.
+//! One party's half of a reliable link to one peer: acknowledged,
+//! deduplicated `Envelope` delivery over a socket, with
+//! reconnect-with-resume.
+//!
+//! ## One sender, one reader, three mailboxes
+//!
+//! Everything a [`PeerChannel`] sends goes through one window
+//! ([`submit_data`](PeerChannel::submit_data) queues, a *window pass*
+//! transmits, retransmits and collects acks); window 1 is the smallest
+//! window, not a second code path. Everything it reads comes off the
+//! socket in one function, which sorts each frame into a mailbox:
+//!
+//! | arrives                | mailbox          | drained by                              |
+//! |------------------------|------------------|-----------------------------------------|
+//! | ack envelope           | `inflight`       | `take_acked_prefix` (oldest-first)      |
+//! | data envelope          | `pending`        | `recv_data` while the session consumes, |
+//! |                        |                  | the straggler answer once it stopped    |
+//! | end-of-session summary | `pending_ledger` | `recv_ledger`                           |
+//!
+//! Whoever is waiting — for an ack, for data, for the summary — loops
+//! "look in my mailbox, else read one frame", so a frame that arrives
+//! during the wrong wait is never lost and never answered late.
 //!
 //! ## Reliability model
 //!
-//! Data messages travel as `Envelope` frames and are acknowledged exactly
-//! as the in-process [`ReliableLink`] acknowledges them; what changes over
-//! real sockets is *who* holds the state. Each [`PeerChannel`] is one
-//! party's half of a link: the sender half retransmits an unacked envelope
-//! on timeout or reconnection; the receiver half deduplicates by data
+//! The sender half retransmits an unacked envelope after a silent read
+//! window or a reconnection; the receiver half deduplicates by data
 //! `pair_id` (monotone per link, so it survives process restarts, unlike
 //! per-connection `seq`) and re-acks duplicates without reprocessing.
+//! Pair ids on one link are consecutive and are surfaced, committed and
+//! released strictly in that order, so a receiver's whole resume state
+//! is one watermark.
 //!
 //! ## Cost accounting
 //!
 //! The protocol [`CostLedger`] must stay byte-identical to the in-process
 //! run, so the channel itself never touches it except through
 //! [`ack_on_ledger`](PeerChannel::ack_on_ledger) — the receiver records
-//! each *first* ack, exactly like `ReliableLink` does. Retransmissions,
+//! each *first* ack, exactly as the in-process link does. Retransmissions,
 //! duplicate re-acks, and reconnects are deployment noise and live in
 //! [`NetStats`] instead.
 //!
@@ -31,11 +51,9 @@
 //! surfaces as [`NetError::PeerGone`], which the executor degrades like a
 //! retry-exhausted pair — the run continues.
 //!
-//! [`ReliableLink`]: pprl_crypto::protocol::ReliableLink
 //! [`CostLedger`]: pprl_crypto::CostLedger
 
 use crate::batch::{decode_batch, encode_batch};
-use crate::commit::CommitSet;
 use crate::frame::{K_BUSY, K_DATA, K_DATA_BATCH, K_GOODBYE, K_HELLO, K_LEDGER};
 use crate::hello::{Busy, Hello, Role};
 use crate::mux::SessionMux;
@@ -51,20 +69,20 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Consecutive unacknowledged retransmit windows tolerated on one live
-/// connection before the sender forces a reconnect. A peer that is
-/// reachable but silent may be desynchronized on a frame it can never
-/// complete (a corrupted length field eats every retransmission as
-/// payload); only a fresh connection — which resets both decoders —
+/// Consecutive silent read windows tolerated on one live connection, with
+/// submissions unacknowledged, before the sender forces a reconnect. A
+/// peer that is reachable but silent may be desynchronized on a frame it
+/// can never complete (a corrupted length field eats every retransmission
+/// as payload); only a fresh connection — which resets both decoders —
 /// heals that, and the receiver alone cannot always tell.
 const ACK_STALL_WINDOWS: u32 = 3;
 
-/// Byte budget of envelope payload per coalesced flush frame: a windowed
-/// burst larger than this is split across several batch frames, keeping
-/// each one far under [`MAX_FRAME_LEN`](crate::frame::MAX_FRAME_LEN).
+/// Byte budget of envelope payload per coalesced flush frame: a burst
+/// larger than this is split across several batch frames, keeping each
+/// one far under [`MAX_FRAME_LEN`](crate::frame::MAX_FRAME_LEN).
 const FLUSH_BUDGET: usize = 1 << 20;
 
-/// One windowed submission: the envelope is encoded exactly once, so every
+/// One submission: the envelope is encoded exactly once, so every
 /// retransmission (and the ack match) reuses the same `seq` and bytes.
 #[derive(Debug)]
 struct Inflight {
@@ -121,31 +139,41 @@ enum Endpoint {
     Accept(Arc<SessionMux>),
 }
 
+impl Endpoint {
+    /// The frame-sequence validator of a connection not yet handshaken.
+    fn fresh_state(&self) -> ProtocolState {
+        match self {
+            Endpoint::Dial(_) => ProtocolState::dialing(),
+            Endpoint::Accept(_) => ProtocolState::accepting(),
+        }
+    }
+}
+
 /// One party's half of a reliable link to one peer.
 pub struct PeerChannel {
     endpoint: Endpoint,
-    /// Our announcement; `watermark`/`have_key` advance as data commits.
+    /// Our announcement. `watermark` is this receiver's whole dedup state:
+    /// every data pair up to it is committed (commits are consecutive, so
+    /// there is nothing above it to remember); `have_key` is the same for
+    /// the key broadcast.
     local: Hello,
     expect_role: Role,
     conn: Option<FramedStream>,
-    /// The peer's latest announcement (refreshed on every reconnect).
-    peer_hello: Option<Hello>,
+    /// A handshake has completed before, so the next one is a reconnect.
+    handshaken: bool,
     next_seq: u64,
-    /// Data envelopes that arrived while waiting for something else,
-    /// drained oldest-first (a coalesced batch delivers several at once).
+    /// Mailbox: data envelopes read off the wire and not yet consumed,
+    /// oldest first (a coalesced batch delivers several at once).
     pending: VecDeque<Envelope>,
-    /// End-of-session summary received early.
+    /// Mailbox: the end-of-session summary, possibly received early.
     pending_ledger: Option<Vec<u8>>,
-    /// What this receiver has durably committed: the low-water mark it
-    /// announces in hellos plus any out-of-order commits above it.
-    committed: CommitSet,
     /// Highest data pair this receiver has *surfaced* to its caller but
     /// not necessarily committed yet. A windowed peer retransmits pairs
     /// that are merely slow to commit; those must be dropped silently
     /// (no ack — the ack is the commit) instead of re-processed.
     received_high: u64,
-    /// Windowed submissions in flight, oldest first (empty unless the
-    /// caller uses [`submit_data`](Self::submit_data)).
+    /// Mailbox: submissions not yet released to the caller, oldest first;
+    /// acks land here.
     inflight: VecDeque<Inflight>,
     timeout: Option<Duration>,
     policy: ReconnectPolicy,
@@ -159,11 +187,13 @@ pub struct PeerChannel {
     /// keeps acking fresh envelopes off-ledger during the ledger wait, so
     /// the peer can finish its walk instead of stalling into `PeerGone`.
     drain: bool,
-    /// Silent [`probe_window`](Self::probe_window) passes since the last
-    /// ack. Probes are one recv window each and interleave with waits on
-    /// *other* channels, so the stall count must survive across calls to
-    /// reach the same escalation the blocking pump applies in one call.
-    probe_stalls: u32,
+    /// Consecutive window passes that blocked a full read window for an
+    /// ack and read nothing, on this connection. It lives on the channel,
+    /// not in a call: probes are one pass each and interleave with waits
+    /// on *other* channels, and must still add up to the escalation one
+    /// blocking pump reaches. Any frame read, and any fresh connection,
+    /// resets it.
+    stalled_windows: u32,
     /// Frame-sequence validator for the current connection; reset by
     /// every successful (re-)handshake. A frame it rejects costs the
     /// connection (reconnect-with-resume recovers), never the session.
@@ -173,6 +203,35 @@ pub struct PeerChannel {
 }
 
 impl PeerChannel {
+    fn new(
+        endpoint: Endpoint,
+        local: Hello,
+        expect_role: Role,
+        timeout: Option<Duration>,
+        policy: ReconnectPolicy,
+    ) -> Self {
+        PeerChannel {
+            state: endpoint.fresh_state(),
+            endpoint,
+            local,
+            expect_role,
+            conn: None,
+            handshaken: false,
+            next_seq: 0,
+            pending: VecDeque::new(),
+            pending_ledger: None,
+            received_high: local.watermark,
+            inflight: VecDeque::new(),
+            timeout,
+            policy,
+            attempt: 0,
+            jitter: local.fingerprint ^ ((local.role as u64) << 8) ^ expect_role as u64,
+            drain: false,
+            stalled_windows: 0,
+            stats: NetStats::default(),
+        }
+    }
+
     /// Dials `addr`, sends our `Hello`, and awaits the peer's reply.
     pub fn connect(
         addr: SocketAddr,
@@ -181,50 +240,17 @@ impl PeerChannel {
         timeout: Option<Duration>,
         policy: ReconnectPolicy,
     ) -> Result<Self, NetError> {
-        let mut channel = PeerChannel {
-            endpoint: Endpoint::Dial(addr),
-            local,
-            expect_role,
-            conn: None,
-            peer_hello: None,
-            next_seq: 0,
-            pending: VecDeque::new(),
-            pending_ledger: None,
-            committed: CommitSet::new(local.watermark),
-            received_high: local.watermark,
-            inflight: VecDeque::new(),
-            timeout,
-            policy,
-            attempt: 0,
-            jitter: local.fingerprint ^ ((local.role as u64) << 8) ^ expect_role as u64,
-            drain: false,
-            probe_stalls: 0,
-            state: ProtocolState::dialing(),
-            stats: NetStats::default(),
-        };
+        let mut channel = Self::new(Endpoint::Dial(addr), local, expect_role, timeout, policy);
         // The loop, not a single attempt: the listener may answer `Busy`
         // (admission cap) or not be up yet; both resolve under the policy
         // deadline.
-        channel.regain(Instant::now())?;
+        channel.ensure_connected()?;
         Ok(channel)
     }
 
-    /// Waits on the mux for the peer to dial us, then replies with our
-    /// `Hello`.
-    pub fn accept(
-        mux: Arc<SessionMux>,
-        local: Hello,
-        expect_role: Role,
-        timeout: Option<Duration>,
-        policy: ReconnectPolicy,
-    ) -> Result<Self, NetError> {
-        let mut channel = Self::accept_lazy(mux, local, expect_role, timeout, policy);
-        channel.regain(Instant::now())?;
-        Ok(channel)
-    }
-
-    /// Like [`accept`](Self::accept), but defers claiming a connection
-    /// until the first operation needs one.
+    /// The accepting end: waits on the mux for the peer to dial us, then
+    /// replies with our `Hello` — but only when the first operation needs
+    /// the connection.
     ///
     /// A session that owns channels to several peers must not block on any
     /// one of them at setup: mid-run peers only re-dial when their own next
@@ -241,27 +267,7 @@ impl PeerChannel {
         timeout: Option<Duration>,
         policy: ReconnectPolicy,
     ) -> Self {
-        PeerChannel {
-            endpoint: Endpoint::Accept(mux),
-            local,
-            expect_role,
-            conn: None,
-            peer_hello: None,
-            next_seq: 0,
-            pending: VecDeque::new(),
-            pending_ledger: None,
-            committed: CommitSet::new(local.watermark),
-            received_high: local.watermark,
-            inflight: VecDeque::new(),
-            timeout,
-            policy,
-            attempt: 0,
-            jitter: local.fingerprint ^ ((local.role as u64) << 8) ^ expect_role as u64,
-            drain: false,
-            probe_stalls: 0,
-            state: ProtocolState::accepting(),
-            stats: NetStats::default(),
-        }
+        Self::new(Endpoint::Accept(mux), local, expect_role, timeout, policy)
     }
 
     /// Establishes (or claims) a connection now, blocking under the
@@ -272,31 +278,20 @@ impl PeerChannel {
     /// their hello reply at session open rather than at this channel's
     /// first data operation.
     pub fn ensure_connected(&mut self) -> Result<(), NetError> {
-        if self.conn.is_none() {
-            self.regain(Instant::now())?;
-        }
-        Ok(())
+        self.connected(Instant::now())
     }
 
-    /// The peer's most recent announcement.
-    pub fn peer_hello(&self) -> Option<Hello> {
-        self.peer_hello
-    }
-
-    /// The committed low-water mark: every data pair up to and including
-    /// this one has been committed (and will be re-acked off-ledger if it
-    /// arrives again). Out-of-order commits above it are tracked too —
-    /// see [`CommitSet`] — but only the contiguous prefix is safe to
-    /// announce in a resume hello.
+    /// The committed watermark: every data pair up to and including this
+    /// one has been committed (and will be re-acked off-ledger if it
+    /// arrives again). It is what a resume hello announces.
     pub fn watermark(&self) -> u64 {
-        self.committed.low_water()
+        self.local.watermark
     }
 
     /// Establishes (or re-establishes) the connection and exchanges
     /// hellos. One attempt; callers loop under the policy deadline.
-    fn establish(&mut self, _start: Instant) -> Result<(), NetError> {
-        let reconnecting = self.peer_hello.is_some();
-        match &self.endpoint {
+    fn establish(&mut self) -> Result<(), NetError> {
+        let (stream, hello) = match &self.endpoint {
             Endpoint::Dial(addr) => {
                 net_trace!("{} dial {} ({addr})", self.local.role, self.expect_role);
                 let socket = TcpStream::connect_timeout(
@@ -325,12 +320,7 @@ impl PeerChannel {
                 }
                 let hello = Hello::decode(&payload)?;
                 hello.verify(self.expect_role, self.local.backend, self.local.fingerprint)?;
-                net_trace!(
-                    "{} dial {}: handshake done (peer wm={} key={})",
-                    self.local.role, self.expect_role, hello.watermark, hello.have_key
-                );
-                self.conn = Some(stream);
-                self.peer_hello = Some(hello);
+                (stream, hello)
             }
             Endpoint::Accept(mux) => {
                 net_trace!("{} accept-wait {}", self.local.role, self.expect_role);
@@ -341,27 +331,28 @@ impl PeerChannel {
                 )?;
                 hello.verify(self.expect_role, self.local.backend, self.local.fingerprint)?;
                 stream.send(K_HELLO, &self.local.encode(), &mut self.stats)?;
-                net_trace!(
-                    "{} accept {}: claimed + replied (peer wm={} key={})",
-                    self.local.role, self.expect_role, hello.watermark, hello.have_key
-                );
-                self.conn = Some(stream);
-                self.peer_hello = Some(hello);
+                (stream, hello)
             }
-        }
-        if reconnecting {
+        };
+        net_trace!(
+            "{} <-> {}: handshake done (peer wm={} key={})",
+            self.local.role, self.expect_role, hello.watermark, hello.have_key
+        );
+        self.conn = Some(stream);
+        if self.handshaken {
             self.stats.reconnects += 1;
         }
+        self.handshaken = true;
         // Fresh connection, fresh state machine: the handshake is behind
         // us, and whether the key phase applies depends on what this side
         // has already committed.
-        let mut state = match &self.endpoint {
-            Endpoint::Dial(_) => ProtocolState::dialing(),
-            Endpoint::Accept(_) => ProtocolState::accepting(),
-        };
-        state.complete_handshake(self.local.have_key);
-        self.state = state;
+        self.state = self.endpoint.fresh_state();
+        self.state.complete_handshake(self.local.have_key);
         self.attempt = 0;
+        self.stalled_windows = 0;
+        // The fresh hello may prove some (or all) submissions delivered;
+        // everything else goes back on the wire.
+        self.absorb_peer_hello(hello);
         Ok(())
     }
 
@@ -399,7 +390,7 @@ impl PeerChannel {
                     self.expect_role, self.policy.deadline
                 )));
             }
-            let pause_ms = match self.establish(start) {
+            let pause_ms = match self.establish() {
                 Ok(()) => return Ok(()),
                 Err(NetError::PeerGone(why)) => return Err(NetError::PeerGone(why)),
                 // A backend split is a configuration error on one side;
@@ -422,215 +413,38 @@ impl PeerChannel {
         }
     }
 
-    fn conn(&mut self, start: Instant) -> Result<&mut FramedStream, NetError> {
+    /// Makes sure a connection is up, reconnecting under the operation
+    /// deadline that started at `start` if it is not.
+    fn connected(&mut self, start: Instant) -> Result<(), NetError> {
         if self.conn.is_none() {
             self.regain(start)?;
         }
-        self.conn
-            .as_mut()
-            .ok_or(NetError::Protocol("connection vanished after regain".into()))
+        Ok(())
     }
 
     /// Sends an ack envelope without touching any ledger (duplicates and
     /// loss-recovery acks are deployment noise).
     fn ack_off_ledger(&mut self, pair_id: u64, seq: u64) {
         let frame = Envelope::ack(pair_id, seq).encode();
-        let mut stats = std::mem::take(&mut self.stats);
         if let Some(stream) = self.conn.as_mut() {
-            if stream.send(K_DATA, &frame, &mut stats).is_err() {
+            if stream.send(K_DATA, &frame, &mut self.stats).is_err() {
                 self.conn = None;
             }
         }
-        self.stats = stats;
-    }
-
-    /// True when the receiver has already committed this envelope.
-    fn is_duplicate(&self, env: &Envelope) -> bool {
-        if env.pair_id == 0 {
-            self.local.have_key
-        } else {
-            self.committed.contains(env.pair_id)
-        }
-    }
-
-    /// Reliably delivers one data envelope and returns once the peer has
-    /// acknowledged it (or its reconnect `Hello` shows the pair already
-    /// committed). Does not touch the cost ledger: data messages are
-    /// recorded by the protocol function that built them, acks by the
-    /// receiver.
-    pub fn send_data(&mut self, pair_id: u64, payload: &[u8]) -> Result<(), NetError> {
-        let start = Instant::now();
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let frame = Envelope::data(pair_id, seq, payload.to_vec()).encode();
-        let mut sent_once = false;
-        let mut stalled_windows = 0u32;
-        loop {
-            if start.elapsed() >= self.policy.deadline {
-                return Err(NetError::PeerGone(format!(
-                    "pair {pair_id} unacknowledged by {} after {:?}",
-                    self.expect_role, self.policy.deadline
-                )));
-            }
-            if self.conn.is_none() {
-                self.regain(start)?;
-                // The fresh hello may already prove delivery.
-                if self.peer_committed(pair_id) {
-                    net_trace!(
-                        "{} send pair {pair_id} -> {}: proven by hello",
-                        self.local.role, self.expect_role
-                    );
-                    return Ok(());
-                }
-            }
-            let mut stats = std::mem::take(&mut self.stats);
-            let sent = self
-                .conn
-                .as_mut()
-                .map(|stream| stream.send(K_DATA, &frame, &mut stats))
-                .unwrap_or(Err(NetError::Disconnected));
-            self.stats = stats;
-            match sent {
-                Ok(()) => {
-                    if sent_once {
-                        self.stats.retransmits += 1;
-                        net_trace!(
-                            "{} send pair {pair_id} -> {}: retransmit",
-                            self.local.role, self.expect_role
-                        );
-                    }
-                    sent_once = true;
-                }
-                Err(_) => {
-                    net_trace!(
-                        "{} send pair {pair_id} -> {}: conn dropped on write",
-                        self.local.role, self.expect_role
-                    );
-                    self.conn = None;
-                    continue;
-                }
-            }
-            // Await the ack, buffering any data frames that interleave.
-            match self.await_ack(pair_id, seq, start) {
-                Ok(true) => return Ok(()),
-                Ok(false) => {
-                    // Timeout window: retransmit — but not forever on the
-                    // same connection. A live link that swallows several
-                    // retransmissions without ever acking is presumed
-                    // desynchronized; force both ends onto a fresh one.
-                    if self.conn.is_some() {
-                        stalled_windows += 1;
-                        if stalled_windows >= ACK_STALL_WINDOWS {
-                            net_trace!(
-                                "{} send pair {pair_id} -> {}: {stalled_windows} silent \
-                                 windows, forcing a reconnect",
-                                self.local.role, self.expect_role
-                            );
-                            stalled_windows = 0;
-                            self.conn = None;
-                        }
-                    } else {
-                        stalled_windows = 0;
-                    }
-                    continue;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// True if the peer's last hello shows `pair_id` durably completed.
-    fn peer_committed(&self, pair_id: u64) -> bool {
-        match self.peer_hello {
-            Some(h) => {
-                if pair_id == 0 {
-                    h.have_key
-                } else {
-                    h.watermark >= pair_id
-                }
-            }
-            None => false,
-        }
-    }
-
-    /// Reads until the matching ack, a timeout (`Ok(false)`), or a dead
-    /// connection (also `Ok(false)`, with the connection cleared so the
-    /// caller reconnects).
-    fn await_ack(&mut self, pair_id: u64, seq: u64, start: Instant) -> Result<bool, NetError> {
-        loop {
-            if start.elapsed() >= self.policy.deadline {
-                return Ok(false);
-            }
-            let mut stats = std::mem::take(&mut self.stats);
-            let received = self
-                .conn
-                .as_mut()
-                .map(|stream| stream.recv(&mut stats))
-                .unwrap_or(Err(NetError::Disconnected));
-            self.stats = stats;
-            match received {
-                Ok((kind, payload)) if !self.admit_frame(kind, payload.len()) => {
-                    // Out-of-phase frame (mid-session hello, data after
-                    // the ledger, wrong-sized fixed frame): the
-                    // connection is gone, retransmit over a fresh one.
-                    return Ok(false);
-                }
-                Ok((K_DATA, payload)) => match Envelope::decode(&payload) {
-                    Ok(env) if env.kind == FrameKind::Ack => {
-                        if env.pair_id == pair_id && env.seq == seq {
-                            net_trace!(
-                                "{} send pair {pair_id} -> {}: acked",
-                                self.local.role, self.expect_role
-                            );
-                            return Ok(true);
-                        }
-                        // Stale ack from before a reconnect: ignore.
-                    }
-                    Ok(env) => self.pending.push_back(env),
-                    Err(_) => {
-                        // Envelope corruption inside a checksummed frame:
-                        // the stream is incoherent, force a reconnect.
-                        self.conn = None;
-                        return Ok(false);
-                    }
-                },
-                Ok((K_DATA_BATCH, payload)) => match decode_batch(&payload) {
-                    Ok(envs) => self.pending.extend(envs),
-                    Err(_) => {
-                        self.conn = None;
-                        return Ok(false);
-                    }
-                },
-                Ok((K_LEDGER, payload)) => self.pending_ledger = Some(payload),
-                Ok((_, _)) => {} // goodbye: admitted, nothing to do
-                Err(NetError::Timeout) => {
-                    net_trace!(
-                        "{} send pair {pair_id} -> {}: ack window timed out",
-                        self.local.role, self.expect_role
-                    );
-                    return Ok(false);
-                }
-                Err(e) => {
-                    net_trace!(
-                        "{} send pair {pair_id} -> {}: conn died awaiting ack: {e}",
-                        self.local.role, self.expect_role
-                    );
-                    self.conn = None;
-                    return Ok(false);
-                }
-            }
-        }
     }
 
     // ------------------------------------------------------------------
-    // Windowed sending: N pairs in flight, acks absorbed out of order,
-    // journal release strictly oldest-first. `send_data` remains the
-    // window-of-one path (callers with `--window 1` never touch this).
+    // The sender: up to N submissions in flight, acks absorbed in any
+    // order, release strictly oldest-first. A caller that allows nothing
+    // to stay unacknowledged (`flush_window`) gets one pair per round
+    // trip out of the same pass.
     // ------------------------------------------------------------------
 
-    /// Registers one data envelope for windowed delivery without blocking.
-    /// The envelope is encoded (and its `seq` fixed) here, once; actual
-    /// transmission happens on the next [`pump_window`](Self::pump_window).
+    /// Registers one data envelope for delivery without blocking. The
+    /// envelope is encoded (and its `seq` fixed) here, once; transmission
+    /// happens on the next [`pump_window`](Self::pump_window). Does not
+    /// touch the cost ledger: data messages are recorded by the protocol
+    /// function that built them, acks by the receiver.
     pub fn submit_data(&mut self, pair_id: u64, payload: &[u8]) {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -645,8 +459,18 @@ impl PeerChannel {
         });
     }
 
+    /// Reliably delivers one data envelope and returns once the peer has
+    /// acknowledged it (or its reconnect `Hello` shows it already
+    /// committed): a submission the caller does not pipeline.
+    pub fn send_data(&mut self, pair_id: u64, payload: &[u8]) -> Result<(), NetError> {
+        self.submit_data(pair_id, payload);
+        self.flush_window()?;
+        self.take_acked_prefix();
+        Ok(())
+    }
+
     /// Submissions not yet acknowledged — the current window occupancy.
-    pub fn window_occupancy(&self) -> usize {
+    fn unacked(&self) -> usize {
         self.inflight.iter().filter(|e| !e.acked).count()
     }
 
@@ -666,179 +490,99 @@ impl PeerChannel {
         released
     }
 
-    /// Drives the windowed sender until at most `max_unacked` submissions
-    /// remain unacknowledged, transmitting queued envelopes eagerly —
-    /// multi-envelope flushes coalesce into one batch frame — and
-    /// absorbing acks as they arrive. Applies the same timeout
-    /// retransmission, silent-window stall escalation, and
-    /// reconnect-with-hello-proof recovery as [`send_data`](Self::send_data),
-    /// but for the whole window at once. Bounded by the policy deadline.
+    /// Runs window passes until at most `max_unacked` submissions remain
+    /// unacknowledged and nothing is waiting to be (re)transmitted.
+    /// Bounded by the policy deadline.
     pub fn pump_window(&mut self, max_unacked: usize) -> Result<(), NetError> {
         let start = Instant::now();
-        let mut stalled_windows = 0u32;
-        loop {
-            let need_conn =
-                self.inflight.iter().any(|e| e.queued) || self.window_occupancy() > max_unacked;
-            if self.conn.is_none() && need_conn {
-                self.regain(start)?;
-                // The fresh hello may prove some (or all) pairs delivered;
-                // everything else goes back on the wire.
-                self.absorb_peer_hello();
-                continue;
-            }
-            self.flush_queued();
-            if self.conn.is_some() {
-                self.stats.max_window =
-                    self.stats.max_window.max(self.window_occupancy() as u64);
-                // Drain whatever is already readable so ack bookkeeping
-                // stays fresh even on eager (non-full-window) passes. No
-                // poll with nothing in flight (no ack to read) or over
-                // the cap (the blocking read below takes the next ack,
-                // ready or not).
-                while (1..=max_unacked).contains(&self.window_occupancy()) {
-                    let ready = match self.conn.as_mut() {
-                        Some(stream) => stream.ready().unwrap_or(false),
-                        None => false,
-                    };
-                    if !ready || !self.recv_windowed() {
-                        break;
-                    }
-                }
-            }
-            if self.window_occupancy() <= max_unacked
-                && !self.inflight.iter().any(|e| e.queued)
-            {
-                return Ok(());
-            }
-            if self.conn.is_none() {
-                continue;
-            }
+        while self.unacked() > max_unacked || self.inflight.iter().any(|e| e.queued) {
             if start.elapsed() >= self.policy.deadline {
                 return Err(NetError::PeerGone(format!(
-                    "{} windowed pair(s) unacknowledged by {} after {:?}",
-                    self.window_occupancy(),
+                    "{} pair(s) unacknowledged by {} after {:?}",
+                    self.unacked(),
                     self.expect_role,
                     self.policy.deadline
                 )));
             }
-            // Block one recv window for acks.
-            if self.recv_windowed() {
-                stalled_windows = 0;
-            } else if self.conn.is_some() {
-                // Timeout: retransmit everything still unacked — and if
-                // several consecutive windows stay silent, force a fresh
-                // connection exactly like the window-of-one sender (the
-                // peer may be desynchronized on a frame it can never
-                // complete).
-                stalled_windows += 1;
-                for entry in self.inflight.iter_mut() {
-                    if !entry.acked {
-                        entry.queued = true;
-                    }
-                }
-                if stalled_windows >= ACK_STALL_WINDOWS {
-                    net_trace!(
-                        "{} window -> {}: {stalled_windows} silent windows, forcing a reconnect",
-                        self.local.role, self.expect_role
-                    );
-                    stalled_windows = 0;
-                    self.conn = None;
-                }
-            } else {
-                stalled_windows = 0;
-            }
+            self.window_pass(start, max_unacked)?;
         }
+        Ok(())
     }
 
-    /// Blocks until every windowed submission is acknowledged.
+    /// Blocks until every submission is acknowledged.
     pub fn flush_window(&mut self) -> Result<(), NetError> {
         self.pump_window(0)
     }
 
-    /// One bounded liveness pass over a windowed sender, for a caller
-    /// blocked on a *different* channel while this one still holds
-    /// unacknowledged submissions.
+    /// One bounded liveness pass, for a caller blocked on a *different*
+    /// channel while this one still holds unacknowledged submissions.
     ///
     /// [`pump_window`](Self::pump_window) only blocks — and therefore only
-    /// reaches its stall escalation — while occupancy exceeds the window
+    /// reaches the stall escalation — while occupancy exceeds the window
     /// cap. A pipelined chain can wedge *below* that cap: if the upstream
     /// peer's own window runs dry because our acks gate its progress, no
     /// new submission ever arrives to push occupancy over the cap, and a
     /// dead downstream connection is never probed (net_chaos's drop soak
-    /// deadlocks all three parties exactly this way). This pass flushes
-    /// anything queued, waits at most one recv window for acks, and counts
-    /// silent passes across calls: enough of them retransmits the window
-    /// and then forces a reconnect, the same escalation the blocking pump
-    /// applies — so the downstream leg heals while the caller keeps
-    /// servicing its upstream wait.
+    /// deadlocks all three parties exactly this way). A probe is the pass
+    /// a pump would run with nothing allowed to stay unacknowledged, so
+    /// the downstream leg heals while the caller keeps servicing its
+    /// upstream wait.
     pub fn probe_window(&mut self) -> Result<(), NetError> {
-        if self.window_occupancy() == 0 {
-            self.probe_stalls = 0;
+        if self.unacked() == 0 {
             return Ok(());
         }
-        let start = Instant::now();
-        if self.conn.is_none() {
-            self.regain(start)?;
-            self.absorb_peer_hello();
-        }
+        self.window_pass(Instant::now(), 0)
+    }
+
+    /// The sender's one pass: (re)connect if needed — the fresh hello
+    /// settles what it proves and requeues the rest — write everything
+    /// queued, then, only while more than `max_unacked` submissions are
+    /// unacknowledged, block one read window for a frame. Silence on a
+    /// live connection requeues the whole window for retransmission, and
+    /// [`ACK_STALL_WINDOWS`] silences in a row force a fresh connection.
+    /// Whatever else is already readable is absorbed before returning, so
+    /// ack bookkeeping stays fresh on passes that never block.
+    fn window_pass(&mut self, start: Instant, max_unacked: usize) -> Result<(), NetError> {
+        self.connected(start)?;
         self.flush_queued();
         if self.conn.is_none() {
-            return Ok(()); // flush lost the connection; next probe regains
+            return Ok(()); // the write lost the connection; the next pass regains
         }
-        if self.recv_windowed() {
-            self.probe_stalls = 0;
-            // Drain whatever else is already readable before returning.
-            while self.window_occupancy() > 0 {
-                let ready = match self.conn.as_mut() {
-                    Some(stream) => stream.ready().unwrap_or(false),
-                    None => false,
-                };
-                if !ready || !self.recv_windowed() {
-                    break;
-                }
-            }
-        } else if self.conn.is_some() {
-            self.probe_stalls += 1;
-            for entry in self.inflight.iter_mut() {
-                if !entry.acked {
+        self.stats.max_window = self.stats.max_window.max(self.unacked() as u64);
+        if self.unacked() > max_unacked && !self.recv_frame() {
+            if self.conn.is_some() {
+                self.stalled_windows += 1;
+                for entry in self.inflight.iter_mut().filter(|e| !e.acked) {
                     entry.queued = true;
                 }
+                if self.stalled_windows >= ACK_STALL_WINDOWS {
+                    net_trace!(
+                        "{} -> {}: {} silent windows, forcing a reconnect",
+                        self.local.role, self.expect_role, self.stalled_windows
+                    );
+                    self.conn = None;
+                }
             }
-            if self.probe_stalls >= ACK_STALL_WINDOWS {
-                net_trace!(
-                    "{} probe -> {}: {} silent probes, forcing a reconnect",
-                    self.local.role, self.expect_role, self.probe_stalls
-                );
-                self.probe_stalls = 0;
-                self.conn = None;
+            return Ok(());
+        }
+        // No poll with nothing in flight: there is no ack to read.
+        while self.unacked() > 0 {
+            let ready = self.conn.as_mut().is_some_and(|s| s.ready().unwrap_or(false));
+            if !ready || !self.recv_frame() {
+                break;
             }
         }
         Ok(())
     }
 
-    /// Folds a fresh reconnect hello into the in-flight queue: pairs the
-    /// peer proves committed are acked (their acks died with the old
+    /// Folds a fresh hello into the in-flight queue: pairs the peer
+    /// proves committed are acked (their acks died with the old
     /// connection), everything else is queued for retransmission.
-    fn absorb_peer_hello(&mut self) {
-        let (watermark, have_key) = match self.peer_hello {
-            Some(h) => (h.watermark, h.have_key),
-            None => (0, false),
-        };
-        for entry in self.inflight.iter_mut() {
-            if entry.acked {
-                continue;
-            }
-            let proven = if entry.pair_id == 0 {
-                have_key
-            } else {
-                entry.pair_id <= watermark
-            };
-            if proven {
-                entry.acked = true;
-                entry.queued = false;
-            } else {
-                entry.queued = true;
-            }
+    fn absorb_peer_hello(&mut self, hello: Hello) {
+        for entry in self.inflight.iter_mut().filter(|e| !e.acked) {
+            let proven = hello.covers(entry.pair_id);
+            entry.acked = proven;
+            entry.queued = !proven;
         }
     }
 
@@ -847,165 +591,124 @@ impl PeerChannel {
     /// flush budget. A write failure drops the connection and leaves the
     /// unsent tail queued for the reconnect path.
     fn flush_queued(&mut self) {
-        if self.conn.is_none() || !self.inflight.iter().any(|e| e.queued) {
+        let Some(stream) = self.conn.as_mut() else {
             return;
+        };
+        // Group the burst into frames under the byte budget.
+        let mut groups: Vec<Vec<&[u8]>> = Vec::new();
+        let mut bytes = 0usize;
+        for entry in self.inflight.iter().filter(|e| e.queued) {
+            match groups.last_mut() {
+                Some(group) if bytes + entry.frame.len() <= FLUSH_BUDGET => {
+                    group.push(entry.frame.as_slice())
+                }
+                _ => {
+                    groups.push(vec![entry.frame.as_slice()]);
+                    bytes = 0;
+                }
+            }
+            bytes += entry.frame.len();
         }
-        let mut stats = std::mem::take(&mut self.stats);
         let mut sent_entries = 0usize;
         let mut conn_ok = true;
-        {
-            let queued: Vec<&[u8]> = self
-                .inflight
-                .iter()
-                .filter(|e| e.queued)
-                .map(|e| e.frame.as_slice())
-                .collect();
-            // Group the burst into frames under the byte budget.
-            let mut groups: Vec<Vec<&[u8]>> = Vec::new();
-            let mut current: Vec<&[u8]> = Vec::new();
-            let mut current_bytes = 0usize;
-            for frame in queued {
-                if !current.is_empty() && current_bytes + frame.len() > FLUSH_BUDGET {
-                    groups.push(std::mem::take(&mut current));
-                    current_bytes = 0;
-                }
-                current_bytes += frame.len();
-                current.push(frame);
-            }
-            if !current.is_empty() {
-                groups.push(current);
-            }
-            let Some(stream) = self.conn.as_mut() else {
-                self.stats = stats;
-                return;
+        for group in &groups {
+            let sent = match group.as_slice() {
+                [single] => stream.send(K_DATA, single, &mut self.stats),
+                many => stream
+                    .send(K_DATA_BATCH, &encode_batch(many), &mut self.stats)
+                    .map(|()| {
+                        self.stats.batches_sent += 1;
+                        self.stats.batched_envelopes += many.len() as u64;
+                    }),
             };
-            for group in &groups {
-                let sent = match group.as_slice() {
-                    [single] => stream.send(K_DATA, single, &mut stats),
-                    many => {
-                        let outcome = stream.send(K_DATA_BATCH, &encode_batch(many), &mut stats);
-                        if outcome.is_ok() {
-                            stats.batches_sent += 1;
-                            stats.batched_envelopes += many.len() as u64;
-                        }
-                        outcome
-                    }
-                };
-                match sent {
-                    Ok(()) => sent_entries += group.len(),
-                    Err(_) => {
-                        conn_ok = false;
-                        break;
-                    }
-                }
+            if sent.is_err() {
+                conn_ok = false;
+                break;
             }
-        }
-        self.stats = stats;
-        if sent_entries > 0 {
-            net_trace!(
-                "{} window -> {}: flushed {sent_entries} envelope(s)",
-                self.local.role, self.expect_role
-            );
+            sent_entries += group.len();
         }
         if !conn_ok {
-            net_trace!(
-                "{} window -> {}: conn dropped on flush",
-                self.local.role, self.expect_role
-            );
+            net_trace!("{} -> {}: conn dropped on flush", self.local.role, self.expect_role);
             self.conn = None;
         }
         // Flushes go out in queue order: the first `sent_entries` queued
         // entries are the ones now on the wire.
-        let mut retransmitted = 0u64;
-        for entry in self
-            .inflight
-            .iter_mut()
-            .filter(|e| e.queued)
-            .take(sent_entries)
-        {
+        for entry in self.inflight.iter_mut().filter(|e| e.queued).take(sent_entries) {
             entry.queued = false;
             if entry.sent_once {
-                retransmitted += 1;
+                self.stats.retransmits += 1;
             }
             entry.sent_once = true;
         }
-        self.stats.retransmits += retransmitted;
     }
 
-    /// One bounded read on a windowed channel: notes acks against the
-    /// in-flight queue, buffers interleaved data envelopes for
-    /// [`recv_data`](Self::recv_data), stashes an early ledger. Returns
-    /// whether a frame was consumed; a timeout or a dead connection
-    /// returns `false` (the pump loop recovers either way).
-    fn recv_windowed(&mut self) -> bool {
-        let mut stats = std::mem::take(&mut self.stats);
-        let received = self
-            .conn
-            .as_mut()
-            .map(|stream| stream.recv(&mut stats))
-            .unwrap_or(Err(NetError::Disconnected));
-        self.stats = stats;
-        match received {
-            Ok((kind, payload)) if !self.admit_frame(kind, payload.len()) => false,
-            Ok((K_DATA, payload)) => match Envelope::decode(&payload) {
-                Ok(env) if env.kind == FrameKind::Ack => {
-                    self.note_ack(&env);
-                    true
-                }
-                Ok(env) => {
-                    self.pending.push_back(env);
-                    true
-                }
-                Err(_) => {
-                    self.conn = None;
-                    false
-                }
-            },
-            Ok((K_DATA_BATCH, payload)) => match decode_batch(&payload) {
-                Ok(envs) => {
-                    for env in envs {
-                        if env.kind == FrameKind::Ack {
-                            self.note_ack(&env);
-                        } else {
-                            self.pending.push_back(env);
-                        }
-                    }
-                    true
-                }
-                Err(_) => {
-                    self.conn = None;
-                    false
-                }
-            },
+    // ------------------------------------------------------------------
+    // The reader.
+    // ------------------------------------------------------------------
+
+    /// The one place a frame comes off a live connection: blocks at most
+    /// one read window and sorts what arrives into the mailboxes — acks
+    /// against `inflight`, data envelopes into `pending`, the summary
+    /// into `pending_ledger`. Returns whether a frame was consumed; a
+    /// timeout returns `false` with the connection intact, a dead,
+    /// incoherent or out-of-phase connection returns `false` with it
+    /// cleared (the caller's loop reconnects either way).
+    fn recv_frame(&mut self) -> bool {
+        let received = match self.conn.as_mut() {
+            Some(stream) => stream.recv(&mut self.stats),
+            None => Err(NetError::Disconnected),
+        };
+        let coherent = match received {
+            Ok((kind, payload)) if !self.admit_frame(kind, payload.len()) => return false,
+            Ok((K_DATA, payload)) => Envelope::decode(&payload)
+                .map(|env| self.deliver(env))
+                .is_ok(),
+            Ok((K_DATA_BATCH, payload)) => decode_batch(&payload)
+                .map(|envs| envs.into_iter().for_each(|env| self.deliver(env)))
+                .is_ok(),
             Ok((K_LEDGER, payload)) => {
                 self.pending_ledger = Some(payload);
                 true
             }
             Ok((_, _)) => true, // goodbye: admitted, nothing to do
-            Err(NetError::Timeout) => false,
-            Err(_) => {
-                self.conn = None;
+            Err(NetError::Timeout) => return false,
+            Err(e) => {
+                net_trace!("{} <- {}: conn died: {e}", self.local.role, self.expect_role);
                 false
             }
+        };
+        // Envelope corruption inside a checksummed frame means the stream
+        // is incoherent: like a dead socket, it costs the connection.
+        if coherent {
+            self.stalled_windows = 0;
+        } else {
+            self.conn = None;
+        }
+        coherent
+    }
+
+    /// Sorts one envelope into its mailbox. An ack marks the in-flight
+    /// entry it matches; stale acks (from before a reconnect, or for
+    /// already-released pairs) match nothing and are ignored.
+    fn deliver(&mut self, env: Envelope) {
+        if env.kind == FrameKind::Data {
+            self.pending.push_back(env);
+            return;
+        }
+        let entry = self
+            .inflight
+            .iter_mut()
+            .find(|e| !e.acked && e.pair_id == env.pair_id && e.seq == env.seq);
+        if let Some(entry) = entry {
+            net_trace!("{} -> {}: pair {} acked", self.local.role, self.expect_role, entry.pair_id);
+            entry.acked = true;
+            entry.queued = false;
         }
     }
 
-    /// Marks the in-flight entry matching an ack envelope as acknowledged.
-    /// Stale acks (from before a reconnect, or for already-released pairs)
-    /// are ignored, exactly like the window-of-one path.
-    fn note_ack(&mut self, env: &Envelope) {
-        for entry in self.inflight.iter_mut() {
-            if !entry.acked && entry.pair_id == env.pair_id && entry.seq == env.seq {
-                net_trace!(
-                    "{} window -> {}: pair {} acked",
-                    self.local.role, self.expect_role, entry.pair_id
-                );
-                entry.acked = true;
-                entry.queued = false;
-                return;
-            }
-        }
-    }
+    // ------------------------------------------------------------------
+    // The receiver: the two consumers of `pending`, and the summary.
+    // ------------------------------------------------------------------
 
     /// Blocks until the next *fresh* data envelope (duplicates are re-acked
     /// off-ledger and skipped), bounded by the reconnect deadline.
@@ -1015,9 +718,7 @@ impl PeerChannel {
             if let Some(incoming) = self.recv_data_step(start)? {
                 return Ok(incoming);
             }
-            // A slice can end with a just-buffered batch; screen it before
-            // consulting the deadline.
-            if self.pending.is_empty() && start.elapsed() >= self.policy.deadline {
+            if start.elapsed() >= self.policy.deadline {
                 return Err(NetError::PeerGone(format!(
                     "no data from {} within {:?}",
                     self.expect_role, self.policy.deadline
@@ -1026,56 +727,26 @@ impl PeerChannel {
         }
     }
 
-    /// One bounded slice of [`recv_data`](Self::recv_data): drains the
-    /// buffer, then waits at most one recv window on the wire. `Ok(None)`
-    /// means nothing fresh surfaced yet — the caller owns the overall
-    /// deadline, so it can interleave slices with work on other channels
-    /// (windowed Bob probes his querier leg between slices; see
-    /// [`probe_window`](Self::probe_window)).
+    /// One bounded slice of [`recv_data`](Self::recv_data): screens the
+    /// mailbox, waiting at most one read window on the wire if it is
+    /// empty. `Ok(None)` means nothing fresh surfaced yet — the caller
+    /// owns the overall deadline, so it can interleave slices with work
+    /// on other channels (windowed Bob probes his querier leg between
+    /// slices; see [`probe_window`](Self::probe_window)).
     pub fn try_recv_data(&mut self) -> Result<Option<IncomingData>, NetError> {
         self.recv_data_step(Instant::now())
     }
 
     /// The shared slice: `start` bounds a reconnect claimed inside it.
     fn recv_data_step(&mut self, start: Instant) -> Result<Option<IncomingData>, NetError> {
+        if self.pending.is_empty() {
+            self.connected(start)?;
+            self.recv_frame();
+        }
         while let Some(env) = self.pending.pop_front() {
             if let Some(incoming) = self.screen(env) {
                 return Ok(Some(incoming));
             }
-        }
-        self.conn(start)?;
-        let mut stats = std::mem::take(&mut self.stats);
-        let received = self
-            .conn
-            .as_mut()
-            .map(|stream| stream.recv(&mut stats))
-            .unwrap_or(Err(NetError::Disconnected));
-        self.stats = stats;
-        match received {
-            Ok((kind, payload)) if !self.admit_frame(kind, payload.len()) => {}
-            Ok((K_DATA, payload)) => match Envelope::decode(&payload) {
-                Ok(env) if env.kind == FrameKind::Data => {
-                    if let Some(incoming) = self.screen(env) {
-                        net_trace!(
-                            "{} recv pair {} from {}",
-                            self.local.role, incoming.pair_id, self.expect_role
-                        );
-                        return Ok(Some(incoming));
-                    }
-                }
-                Ok(_) => {} // stray ack: stale, drop
-                Err(_) => self.conn = None,
-            },
-            Ok((K_DATA_BATCH, payload)) => match decode_batch(&payload) {
-                // Buffer the whole burst; the caller's next slice screens
-                // each entry in send order.
-                Ok(envs) => self.pending.extend(envs),
-                Err(_) => self.conn = None,
-            },
-            Ok((K_LEDGER, payload)) => self.pending_ledger = Some(payload),
-            Ok((_, _)) => {} // goodbye: admitted, nothing to do
-            Err(NetError::Timeout) => {}
-            Err(_) => self.conn = None,
         }
         Ok(None)
     }
@@ -1086,10 +757,7 @@ impl PeerChannel {
     /// retransmitting into a slow commit chain — is dropped silently:
     /// no re-ack (the ack is the commit) and no second processing.
     fn screen(&mut self, env: Envelope) -> Option<IncomingData> {
-        if env.kind != FrameKind::Data {
-            return None;
-        }
-        if self.is_duplicate(&env) {
+        if self.local.covers(env.pair_id) {
             net_trace!(
                 "{} <- {}: pair {} duplicate, re-acked",
                 self.local.role, self.expect_role, env.pair_id
@@ -1121,6 +789,7 @@ impl PeerChannel {
         if env.pair_id != 0 {
             self.received_high = env.pair_id;
         }
+        net_trace!("{} recv pair {} from {}", self.local.role, env.pair_id, self.expect_role);
         Some(IncomingData {
             pair_id: env.pair_id,
             seq: env.seq,
@@ -1129,9 +798,9 @@ impl PeerChannel {
     }
 
     /// Acknowledges an accepted envelope *on the ledger* — the one ack per
-    /// data message the in-process `ReliableLink` also records — and
-    /// commits the receiver's dedup state. Callers journal their durable
-    /// state *before* calling this: ack loss is recovered by the sender
+    /// data message the in-process link also records — and commits the
+    /// receiver's dedup state. Callers journal their durable state
+    /// *before* calling this: ack loss is recovered by the sender
     /// retransmitting into the dedup screen.
     pub fn ack_on_ledger(&mut self, incoming: &IncomingData, ledger: &mut CostLedger) {
         ledger.record_message(ENVELOPE_OVERHEAD);
@@ -1144,14 +813,20 @@ impl PeerChannel {
     /// party that must journal *between* recording the cost and releasing
     /// the sender (so a crash on either side of the journal write reconciles
     /// to exactly one recorded ack) records first, journals, then commits.
+    ///
+    /// Commits are consecutive: the screen surfaces ids in order and every
+    /// caller releases oldest-first. Anything else is a caller bug; it is
+    /// counted in [`NetStats::violations`] and neither committed nor acked,
+    /// so the watermark can never claim a pair it skipped.
     pub fn commit_ack(&mut self, incoming: &IncomingData) {
         if incoming.pair_id == 0 {
             self.local.have_key = true;
             self.state.note_key();
+        } else if incoming.pair_id == self.local.watermark + 1 {
+            self.local.watermark = incoming.pair_id;
         } else {
-            self.committed.insert(incoming.pair_id);
-            // The hello may only claim the contiguous prefix.
-            self.local.watermark = self.committed.low_water();
+            self.stats.violations += 1;
+            return;
         }
         self.ack_off_ledger(incoming.pair_id, incoming.seq);
     }
@@ -1178,57 +853,34 @@ impl PeerChannel {
                     self.expect_role
                 )));
             }
-            self.conn(start)?;
-            let mut stats = std::mem::take(&mut self.stats);
-            let sent = self
-                .conn
-                .as_mut()
-                .map(|stream| {
-                    stream.send(K_LEDGER, &payload, &mut stats)?;
-                    stream.send(K_GOODBYE, &[], &mut stats)
-                })
-                .unwrap_or(Err(NetError::Disconnected));
-            self.stats = stats;
-            match sent {
-                Ok(()) => return Ok(()),
-                Err(_) => self.conn = None,
+            self.connected(start)?;
+            if let Some(stream) = self.conn.as_mut() {
+                let sent = stream
+                    .send(K_LEDGER, &payload, &mut self.stats)
+                    .and_then(|()| stream.send(K_GOODBYE, &[], &mut self.stats));
+                if sent.is_ok() {
+                    return Ok(());
+                }
             }
+            self.conn = None;
         }
     }
 
-    /// One data envelope arriving during the ledger wait: late
-    /// retransmissions are re-acked to keep the dedup contract alive, and
-    /// in drain mode fresh envelopes are acked-and-discarded (off-ledger,
-    /// uncommitted — the pair was abandoned) so the oblivious sender can
-    /// finish its walk.
-    fn straggler(&mut self, env: Envelope) {
-        if env.kind != FrameKind::Data {
-            return;
-        }
-        if self.is_duplicate(&env) {
-            self.stats.duplicates += 1;
-            self.ack_off_ledger(env.pair_id, env.seq);
-        } else if self.drain {
-            self.stats.drained += 1;
-            self.ack_off_ledger(env.pair_id, env.seq);
-        }
-    }
-
-    /// Every data envelope of a frame that arrived after this side
-    /// stopped consuming data, through [`straggler`](Self::straggler).
-    fn straggler_frame(&mut self, kind: u8, payload: &[u8]) {
-        match kind {
-            K_DATA => {
-                if let Ok(env) = Envelope::decode(payload) {
-                    self.straggler(env);
-                }
+    /// Answers every buffered data envelope once this side has stopped
+    /// consuming data: late retransmissions are re-acked to keep the dedup
+    /// contract alive, and in drain mode fresh envelopes are
+    /// acked-and-discarded (off-ledger, uncommitted — the pair was
+    /// abandoned) so the oblivious sender can finish its walk.
+    fn answer_stragglers(&mut self) {
+        while let Some(env) = self.pending.pop_front() {
+            if self.local.covers(env.pair_id) {
+                self.stats.duplicates += 1;
+            } else if self.drain {
+                self.stats.drained += 1;
+            } else {
+                continue;
             }
-            K_DATA_BATCH => {
-                for env in decode_batch(payload).unwrap_or_default() {
-                    self.straggler(env);
-                }
-            }
-            _ => {}
+            self.ack_off_ledger(env.pair_id, env.seq);
         }
     }
 
@@ -1245,32 +897,16 @@ impl PeerChannel {
     pub fn serve_until_closed(&mut self) {
         let mut start = Instant::now();
         while self.conn.is_some() && start.elapsed() < self.policy.deadline {
-            let mut stats = std::mem::take(&mut self.stats);
-            let received = self
-                .conn
-                .as_mut()
-                .map(|stream| stream.recv(&mut stats))
-                .unwrap_or(Err(NetError::Disconnected));
-            self.stats = stats;
-            match received {
-                Ok((kind, payload)) if !self.admit_frame(kind, payload.len()) => {}
-                Ok((kind, payload)) => {
-                    start = Instant::now();
-                    self.straggler_frame(kind, &payload);
-                }
-                Err(NetError::Timeout) => {}
-                Err(e) => {
-                    net_trace!(
-                        "{} <- {}: done serving: {e}",
-                        self.local.role, self.expect_role
-                    );
-                    self.conn = None;
-                }
+            self.answer_stragglers();
+            if self.recv_frame() {
+                start = Instant::now();
             }
         }
     }
 
-    /// Blocks for the peer's end-of-session cost summary.
+    /// Blocks for the peer's end-of-session cost summary, answering
+    /// stragglers — those already buffered when the wait begins as much as
+    /// those that arrive during it.
     ///
     /// The deadline here is a *liveness* bound — it restarts whenever a
     /// frame arrives — because a draining peer may legitimately stream a
@@ -1279,6 +915,7 @@ impl PeerChannel {
     pub fn recv_ledger(&mut self) -> Result<CostLedger, NetError> {
         let mut start = Instant::now();
         loop {
+            self.answer_stragglers();
             if let Some(payload) = self.pending_ledger.take() {
                 return CostLedger::decode(&payload).ok_or_else(|| {
                     NetError::Protocol(format!(
@@ -1294,23 +931,9 @@ impl PeerChannel {
                     self.expect_role, self.policy.deadline
                 )));
             }
-            self.conn(start)?;
-            let mut stats = std::mem::take(&mut self.stats);
-            let received = self
-                .conn
-                .as_mut()
-                .map(|stream| stream.recv(&mut stats))
-                .unwrap_or(Err(NetError::Disconnected));
-            self.stats = stats;
-            match received {
-                Ok((kind, payload)) if !self.admit_frame(kind, payload.len()) => {}
-                Ok((K_LEDGER, payload)) => self.pending_ledger = Some(payload),
-                Ok((kind, payload)) => {
-                    start = Instant::now();
-                    self.straggler_frame(kind, &payload);
-                }
-                Err(NetError::Timeout) => {}
-                Err(_) => self.conn = None,
+            self.connected(start)?;
+            if self.recv_frame() {
+                start = Instant::now();
             }
         }
     }
@@ -1321,25 +944,40 @@ mod tests {
     use super::*;
     use crate::hello::Backend;
 
-    fn link(
-        timeout_ms: u64,
-        deadline_ms: u64,
-    ) -> (PeerChannel, PeerChannel, Arc<SessionMux>) {
-        let timeout = Some(Duration::from_millis(timeout_ms));
-        let policy = ReconnectPolicy {
+    fn policy(deadline_ms: u64) -> ReconnectPolicy {
+        ReconnectPolicy {
             retry: RetryPolicy {
                 base_delay_ms: 5,
                 max_delay_ms: 50,
                 ..RetryPolicy::default()
             },
             deadline: Duration::from_millis(deadline_ms),
-        };
+        }
+    }
+
+    /// Bob's end, claimed now: the lazy accept plus the first connection.
+    fn accept(
+        mux: &Arc<SessionMux>,
+        local: Hello,
+        timeout: Option<Duration>,
+        policy: ReconnectPolicy,
+    ) -> PeerChannel {
+        let mut bob = PeerChannel::accept_lazy(Arc::clone(mux), local, Role::Alice, timeout, policy);
+        bob.ensure_connected().unwrap();
+        bob
+    }
+
+    fn link(
+        timeout_ms: u64,
+        deadline_ms: u64,
+    ) -> (PeerChannel, PeerChannel, Arc<SessionMux>) {
+        let timeout = Some(Duration::from_millis(timeout_ms));
+        let policy = policy(deadline_ms);
         let mux = Arc::new(SessionMux::bind("127.0.0.1:0", timeout).unwrap());
         let addr = mux.local_addr();
         let mux2 = Arc::clone(&mux);
         let acceptor = std::thread::spawn(move || {
-            PeerChannel::accept(mux2, Hello::new(Role::Bob, Backend::Paillier, 77), Role::Alice, timeout, policy)
-                .unwrap()
+            accept(&mux2, Hello::new(Role::Bob, Backend::Paillier, 77), timeout, policy)
         });
         let dialer = PeerChannel::connect(
             addr,
@@ -1395,67 +1033,6 @@ mod tests {
         let (bob, ledger) = receiver.join().unwrap();
         assert_eq!(bob.stats.duplicates, 1);
         assert_eq!(ledger.messages, 2, "dup ack never hit the ledger");
-    }
-
-    #[test]
-    fn sender_survives_a_receiver_restart() {
-        let timeout = Some(Duration::from_millis(150));
-        let policy = ReconnectPolicy {
-            retry: RetryPolicy {
-                base_delay_ms: 5,
-                max_delay_ms: 50,
-                ..RetryPolicy::default()
-            },
-            deadline: Duration::from_secs(10),
-        };
-        let mux = Arc::new(SessionMux::bind("127.0.0.1:0", timeout).unwrap());
-        let addr = mux.local_addr();
-        let mux2 = Arc::clone(&mux);
-        let acceptor = std::thread::spawn(move || {
-            let mut bob = PeerChannel::accept(
-                Arc::clone(&mux2),
-                Hello::new(Role::Bob, Backend::Paillier, 9),
-                Role::Alice,
-                timeout,
-                policy,
-            )
-            .unwrap();
-            let mut ledger = CostLedger::new();
-            let first = bob.recv_data().unwrap();
-            bob.ack_on_ledger(&first, &mut ledger);
-            // Simulate a crash after committing pair 1: drop the
-            // connection and come back with the watermark in the hello.
-            let watermark = bob.watermark();
-            drop(bob);
-            let mut resumed_hello = Hello::new(Role::Bob, Backend::Paillier, 9);
-            resumed_hello.watermark = watermark;
-            resumed_hello.have_key = true;
-            let mut bob = PeerChannel::accept(
-                Arc::clone(&mux2),
-                resumed_hello,
-                Role::Alice,
-                timeout,
-                policy,
-            )
-            .unwrap();
-            let second = bob.recv_data().unwrap();
-            assert_eq!(second.pair_id, 2);
-            bob.ack_on_ledger(&second, &mut ledger);
-            ledger
-        });
-        let mut alice = PeerChannel::connect(
-            addr,
-            Hello::new(Role::Alice, Backend::Paillier, 9),
-            Role::Bob,
-            timeout,
-            policy,
-        )
-        .unwrap();
-        alice.send_data(1, &[7; 32]).unwrap();
-        alice.send_data(2, &[8; 32]).unwrap();
-        let ledger = acceptor.join().unwrap();
-        assert_eq!(ledger.messages, 2);
-        assert!(alice.stats.reconnects >= 1, "the drop forced a reconnect");
     }
 
     #[test]
@@ -1555,7 +1132,7 @@ mod tests {
         alice.flush_window().unwrap();
         released.extend(alice.take_acked_prefix());
         assert_eq!(released, (1..=10).collect::<Vec<u64>>());
-        assert_eq!(alice.window_occupancy(), 0);
+        assert_eq!(alice.unacked(), 0);
         let (bob, ledger) = receiver.join().unwrap();
         assert_eq!(ledger.messages, 10, "each pair acked exactly once on-ledger");
         assert_eq!(bob.watermark(), 10);
@@ -1588,72 +1165,69 @@ mod tests {
         assert!(alice.stats.max_window >= 6, "occupancy peak recorded");
     }
 
+    /// One sender at every window: the same key frame plus three pairs,
+    /// through a receiver that commits the key and pair 1, loses both acks
+    /// and restarts. Its fresh hello proves those two; only pairs 2 and 3
+    /// go back on the wire, and release stays oldest-first — whether the
+    /// caller lets nothing stay unacknowledged or two pairs.
     #[test]
-    fn windowed_sender_survives_a_receiver_restart() {
-        let timeout = Some(Duration::from_millis(150));
-        let policy = ReconnectPolicy {
-            retry: RetryPolicy {
-                base_delay_ms: 5,
-                max_delay_ms: 50,
-                ..RetryPolicy::default()
-            },
-            deadline: Duration::from_secs(10),
-        };
-        let mux = Arc::new(SessionMux::bind("127.0.0.1:0", timeout).unwrap());
-        let addr = mux.local_addr();
-        let mux2 = Arc::clone(&mux);
-        let acceptor = std::thread::spawn(move || {
-            let mut bob = PeerChannel::accept(
-                Arc::clone(&mux2),
-                Hello::new(Role::Bob, Backend::Paillier, 31),
-                Role::Alice,
+    fn the_sender_survives_a_receiver_restart_at_every_window() {
+        for max_unacked in [0usize, 2] {
+            let timeout = Some(Duration::from_millis(2_000));
+            let policy = policy(10_000);
+            let fingerprint = 31 + max_unacked as u64;
+            let mux = Arc::new(SessionMux::bind("127.0.0.1:0", timeout).unwrap());
+            let addr = mux.local_addr();
+            let mux2 = Arc::clone(&mux);
+            let acceptor = std::thread::spawn(move || {
+                let hello = Hello::new(Role::Bob, Backend::Paillier, fingerprint);
+                let mut bob = accept(&mux2, hello, timeout, policy);
+                let mut ledger = CostLedger::new();
+                let key = bob.recv_data().unwrap();
+                let first = bob.recv_data().unwrap();
+                assert_eq!((key.pair_id, first.pair_id), (0, 1));
+                // Commit both with the ack path unplugged, then crash:
+                // pairs 2 and 3 die unread with the connection.
+                drop(bob.conn.take());
+                bob.ack_on_ledger(&key, &mut ledger);
+                bob.ack_on_ledger(&first, &mut ledger);
+                let mut resumed = hello;
+                resumed.watermark = bob.watermark();
+                resumed.have_key = true;
+                assert_eq!(resumed.watermark, 1);
+                drop(bob);
+                let mut bob = accept(&mux2, resumed, timeout, policy);
+                for expect in 2..=3u64 {
+                    let incoming = bob.recv_data().unwrap();
+                    assert_eq!(incoming.pair_id, expect, "only the unproven pairs come back");
+                    bob.ack_on_ledger(&incoming, &mut ledger);
+                }
+                (bob, ledger)
+            });
+            let mut alice = PeerChannel::connect(
+                addr,
+                Hello::new(Role::Alice, Backend::Paillier, fingerprint),
+                Role::Bob,
                 timeout,
                 policy,
             )
             .unwrap();
-            let mut ledger = CostLedger::new();
-            for _ in 0..2 {
-                let incoming = bob.recv_data().unwrap();
-                bob.ack_on_ledger(&incoming, &mut ledger);
+            for pair in 0..=3u64 {
+                alice.submit_data(pair, &[pair as u8; 16]);
             }
-            // Crash after committing pairs 1–2; resume from the watermark.
-            let watermark = bob.watermark();
-            drop(bob);
-            let mut resumed = Hello::new(Role::Bob, Backend::Paillier, 31);
-            resumed.watermark = watermark;
-            resumed.have_key = true;
-            let mut bob = PeerChannel::accept(
-                Arc::clone(&mux2),
-                resumed,
-                Role::Alice,
-                timeout,
-                policy,
-            )
-            .unwrap();
-            for expect in 3..=4u64 {
-                let incoming = bob.recv_data().unwrap();
-                assert_eq!(incoming.pair_id, expect);
-                bob.ack_on_ledger(&incoming, &mut ledger);
-            }
-            ledger
-        });
-        let mut alice = PeerChannel::connect(
-            addr,
-            Hello::new(Role::Alice, Backend::Paillier, 31),
-            Role::Bob,
-            timeout,
-            policy,
-        )
-        .unwrap();
-        for pair in 1..=4u64 {
-            alice.submit_data(pair, &[pair as u8; 16]);
+            alice.pump_window(max_unacked).unwrap();
+            assert!(alice.unacked() <= max_unacked);
+            let mut released = alice.take_acked_prefix();
+            alice.flush_window().unwrap();
+            released.extend(alice.take_acked_prefix());
+            let (bob, ledger) = acceptor.join().unwrap();
+            let row = format!("max_unacked {max_unacked} (stats: {})", alice.stats);
+            assert_eq!(released, vec![0, 1, 2, 3], "oldest-first across the restart, {row}");
+            assert_eq!(alice.stats.retransmits, 2, "proven envelopes skipped the wire, {row}");
+            assert!(alice.stats.reconnects >= 1, "{row}");
+            assert_eq!(bob.stats.duplicates, 0, "nothing proven was sent again, {row}");
+            assert_eq!(ledger.messages, 4, "each envelope acked once on the ledger, {row}");
         }
-        alice.flush_window().unwrap();
-        let released = alice.take_acked_prefix();
-        assert_eq!(released, vec![1, 2, 3, 4], "oldest-first across the restart");
-        let ledger = acceptor.join().unwrap();
-        assert_eq!(ledger.messages, 4, "no pair double-acked on the ledger");
-        assert!(alice.stats.reconnects >= 1);
     }
 
     /// The net_chaos drop-soak deadlock: an ack frame lost on a live
@@ -1694,7 +1268,7 @@ mod tests {
         // while blocked waiting on Alice.
         for _ in 0..200 {
             alice.probe_window().unwrap();
-            if alice.window_occupancy() == 0 {
+            if alice.unacked() == 0 {
                 break;
             }
         }
@@ -1793,5 +1367,45 @@ mod tests {
         let receiver = std::thread::spawn(move || bob.recv_ledger().unwrap());
         alice.send_ledger(&ledger).unwrap();
         assert_eq!(receiver.join().unwrap(), expected);
+    }
+
+    /// The tail of a decoded batch sits in `pending` when the session
+    /// stops consuming: the ledger wait must answer it from the mailbox
+    /// instead of waiting for the sender's silent window to resend it.
+    #[test]
+    fn envelopes_buffered_before_the_ledger_wait_are_acked_without_a_retransmission() {
+        let (mut alice, mut bob, _mux) = link(1_000, 10_000);
+        let receiver = std::thread::spawn(move || {
+            let first = bob.recv_data().unwrap();
+            assert_eq!(first.pair_id, 1);
+            bob.commit_ack(&first);
+            bob.drain_stragglers();
+            bob.recv_ledger().unwrap();
+            bob
+        });
+        for pair in 1..=3u64 {
+            alice.submit_data(pair, &[pair as u8; 16]);
+        }
+        alice.flush_window().unwrap();
+        alice.send_ledger(&CostLedger::new()).unwrap();
+        let bob = receiver.join().unwrap();
+        assert_eq!(alice.stats.retransmits, 0, "nothing waited out a silent window");
+        assert_eq!(bob.stats.drained, 2, "both buffered pairs were acked and discarded");
+    }
+
+    #[test]
+    fn a_non_consecutive_commit_is_counted_and_never_advances_the_watermark() {
+        let mux = Arc::new(SessionMux::bind("127.0.0.1:0", None).unwrap());
+        let hello = Hello::new(Role::Bob, Backend::Paillier, 3);
+        let mut bob = PeerChannel::accept_lazy(mux, hello, Role::Alice, None, policy(100));
+        let commit = |bob: &mut PeerChannel, pair_id| {
+            bob.commit_ack(&IncomingData { pair_id, seq: 0, payload: Vec::new() });
+            (bob.watermark(), bob.stats.violations)
+        };
+        assert_eq!(commit(&mut bob, 2), (0, 1), "a commit past a hole is refused");
+        assert_eq!(commit(&mut bob, 1), (1, 1));
+        assert_eq!(commit(&mut bob, 1), (1, 2), "a second commit of one pair is refused");
+        assert_eq!(commit(&mut bob, 3), (1, 3));
+        assert_eq!(commit(&mut bob, 2), (2, 3));
     }
 }

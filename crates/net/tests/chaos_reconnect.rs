@@ -34,14 +34,14 @@ fn partition_mid_stream_heals_with_ledger_parity() {
 
     let mux2 = Arc::clone(&mux);
     let receiver = std::thread::spawn(move || {
-        let mut bob = PeerChannel::accept(
+        let mut bob = PeerChannel::accept_lazy(
             mux2,
             Hello::new(Role::Bob, Backend::Paillier, FP),
             Role::Alice,
             timeout,
             policy(),
-        )
-        .unwrap();
+        );
+        bob.ensure_connected().unwrap();
         let mut ledger = CostLedger::new();
         let mut payloads = Vec::new();
         for _ in 0..PAIRS {

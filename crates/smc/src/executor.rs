@@ -469,7 +469,7 @@ impl SmcStep {
         total_pairs: u64,
     ) -> Result<SmcReport, SmcError> {
         let mut runner = self.start(r_data, s_data, r_view, s_view, unknown, rule, total_pairs)?;
-        runner.run_to_completion()?;
+        runner.run_to_completion_parallel(1)?;
         Ok(runner.finish())
     }
 
@@ -682,14 +682,9 @@ impl<'a> SmcRunner<'a> {
         self.session.invocations
     }
 
-    /// Decides the next record pair (or performs the pending phase
-    /// transition). Returns `false` once the session is done.
-    pub fn step_pair(&mut self) -> Result<bool, SmcError> {
-        Ok(self.step_pair_event()?.is_some())
-    }
-
-    /// Like [`step_pair`](Self::step_pair), but returns the decided pair
-    /// as a journalable [`PairEvent`] (`None` once the session is done).
+    /// Decides the next record pair (performing any pending phase
+    /// transition on the way) and returns it as a journalable
+    /// [`PairEvent`]; `None` once the session is done.
     pub fn step_pair_event(&mut self) -> Result<Option<PairEvent>, SmcError> {
         let Some((ri, si)) = self.locate_next_pair()? else {
             return Ok(None);
@@ -845,16 +840,10 @@ impl<'a> SmcRunner<'a> {
     /// Steps at most `n` pairs; returns how many were actually decided.
     pub fn step_pairs(&mut self, n: u64) -> Result<u64, SmcError> {
         let mut done = 0;
-        while done < n && self.step_pair()? {
+        while done < n && self.step_pair_event()?.is_some() {
             done += 1;
         }
         Ok(done)
-    }
-
-    /// Runs until every reachable pair is decided.
-    pub fn run_to_completion(&mut self) -> Result<(), SmcError> {
-        while self.step_pair()? {}
-        Ok(())
     }
 
     /// True when the pair walk may be executed in concurrent batches:
@@ -900,17 +889,10 @@ impl<'a> SmcRunner<'a> {
     }
 
     /// Decides up to `n` pairs, comparing them concurrently on up to
-    /// `threads` workers; returns how many were decided. Results are
-    /// identical to [`step_pairs`](Self::step_pairs). Falls back to the
-    /// sequential loop when `threads <= 1` or the session is not
-    /// [`parallelizable`](Self::parallelizable).
-    pub fn step_pairs_parallel(&mut self, n: u64, threads: usize) -> Result<u64, SmcError> {
-        Ok(self.step_pair_events_parallel(n, threads)?.len() as u64)
-    }
-
-    /// Like [`step_pairs_parallel`](Self::step_pairs_parallel), but
-    /// returns the decided pairs as journalable [`PairEvent`]s in walk
-    /// order — what the journaled runner appends as outcome frames.
+    /// `threads` workers, and returns them as journalable [`PairEvent`]s
+    /// in walk order — what the journaled runner appends as outcome
+    /// frames. Falls back to the sequential loop when `threads <= 1` or
+    /// the session is not [`parallelizable`](Self::parallelizable).
     /// Results are identical to repeated
     /// [`step_pair_event`](Self::step_pair_event) calls: the batch is
     /// enumerated by probing the deterministic walk, each worker runs an
@@ -974,17 +956,18 @@ impl<'a> SmcRunner<'a> {
 
     /// Runs until every reachable pair is decided, batching comparisons
     /// across up to `threads` workers. Output (labels, stats, ledger,
-    /// checkpoints) is identical to [`run_to_completion`]
-    /// (Self::run_to_completion); non-parallelizable sessions fall back
-    /// to it outright.
+    /// checkpoints) is identical at every thread count; one thread, or a
+    /// session that is not [`parallelizable`](Self::parallelizable),
+    /// steps pair by pair without building batches.
     pub fn run_to_completion_parallel(&mut self, threads: usize) -> Result<(), SmcError> {
         if threads <= 1 || !self.parallelizable() {
-            return self.run_to_completion();
+            while self.step_pair_event()?.is_some() {}
+            return Ok(());
         }
         // Batches large enough to amortize the probe and fan-out, small
         // enough to bound peak memory (one ledger per in-flight pair).
         let batch = (threads as u64).saturating_mul(64).max(256);
-        while self.step_pairs_parallel(batch, threads)? > 0 {}
+        while !self.step_pair_events_parallel(batch, threads)?.is_empty() {}
         Ok(())
     }
 
@@ -1957,7 +1940,7 @@ mod tests {
                     .resume(session, &f.a, &f.b, &f.va, &f.vb, &f.unknown, &f.rule, f.total)
                     .unwrap(),
             };
-            if runner.step_pairs_parallel(13, 4).unwrap() == 0 {
+            if runner.step_pair_events_parallel(13, 4).unwrap().is_empty() {
                 break runner.finish();
             }
             snapshot = Some(runner.checkpoint());

@@ -154,7 +154,7 @@ fn run_remote(f: &'static Fixture, step: &SmcStep) -> SmcReport {
         "a remote session is one conversation"
     );
     runner
-        .run_to_completion()
+        .run_to_completion_parallel(1)
         .unwrap_or_else(|e| panic!("remote run: {e}"));
     runner.absorb_remote_costs(&shipped.lock().unwrap());
     runner.finish()
@@ -173,7 +173,7 @@ fn remote_holders_label_and_meter_like_the_in_process_session() {
     };
     let here = |mode, channel| {
         let mut runner = f.start(&step(mode, channel));
-        runner.run_to_completion().unwrap();
+        runner.run_to_completion_parallel(1).unwrap();
         runner.finish()
     };
     let oracle = here(SmcMode::Oracle, None);
